@@ -17,7 +17,6 @@ import (
 	"gfd/internal/fragment"
 	"gfd/internal/graph"
 	"gfd/internal/validate"
-	"gfd/internal/workload"
 )
 
 // Supervision defaults.
@@ -184,15 +183,6 @@ type deathNotice struct {
 	tail    string // last stderr output — panic stacks land here
 }
 
-// unitState mirrors the in-process scheduler's per-unit bookkeeping.
-type unitState struct {
-	attempts int
-	emitted  int64 // violations accepted by the sink across attempts; retries skip these
-	done     bool
-	failed   bool
-	lastErr  error
-}
-
 // procState is one worker slot across incarnations.
 type procState struct {
 	id    int
@@ -230,25 +220,23 @@ type coordRun struct {
 	events   chan event
 
 	procs    []*procState
-	states   []unitState
-	resolved int // units done or failed
-	deaths   int
-	rounds   int
-	stopped  bool // sink refused a violation; drain and stop cleanly
+	led      *validate.Ledger // per-unit retry ledger, shared policy with the in-process scheduler
+	resolved int              // units done or failed
+	stopped  bool             // sink refused a violation; drain and stop cleanly
 	anyEmit  bool
 
 	wg sync.WaitGroup // reader goroutines
 }
 
-// Completeness alias keeps signatures readable.
-type Completeness = validate.Completeness
-
 // run executes the distributed detection phase. It returns the modeled
 // detection span, the completeness census, and the run error: nil,
 // ctx.Err(), a *validate.PartialError, or errDegraded.
-func (r *coordRun) run() (time.Duration, Completeness, error) {
+func (r *coordRun) run() (time.Duration, validate.Completeness, error) {
 	n := r.opt.N
-	r.states = make([]unitState, len(r.plan.Units))
+	units := r.plan.Units
+	r.led = validate.NewLedger(len(units), r.opt,
+		func(ui int) int { return units[ui].Group },
+		func(ui int) int { return int(units[ui].Weight()) })
 	r.procs = make([]*procState, n)
 	faultEnv := r.opt.Inject.Encode()
 	for w := 0; w < n; w++ {
@@ -288,7 +276,7 @@ func (r *coordRun) run() (time.Duration, Completeness, error) {
 		spawned++
 	}
 	if spawned == 0 {
-		return 0, r.census(nil), errDegraded
+		return 0, r.led.Census(), errDegraded
 	}
 	// Queues of workers that never spawned move to the survivors.
 	var orphaned []int
@@ -320,32 +308,24 @@ func (r *coordRun) run() (time.Duration, Completeness, error) {
 	ticker := time.NewTicker(tick)
 	defer ticker.Stop()
 
-	var failures []validate.UnitFailure
 	var ctxErr error
 loop:
-	for r.resolved < len(r.states) && !r.stopped {
+	for r.resolved < len(units) && !r.stopped {
 		select {
 		case <-r.ctx.Done():
 			ctxErr = r.ctx.Err()
 			break loop
 		case ev := <-r.events:
-			r.handle(ev, &failures)
+			r.handle(ev)
 		case <-ticker.C:
 			r.checkLiveness(hb, handshake)
 		}
 		if r.liveCount() == 0 {
 			if !r.progress() {
-				return 0, r.census(failures), errDegraded
+				return 0, r.led.Census(), errDegraded
 			}
 			// Some units are unreachable: everything unresolved fails.
-			for ui := range r.states {
-				st := &r.states[ui]
-				if !st.done && !st.failed {
-					st.failed = true
-					r.resolved++
-					failures = append(failures, r.failure(ui))
-				}
-			}
+			r.resolved += r.led.FailUnresolved()
 			break loop
 		}
 	}
@@ -358,24 +338,20 @@ loop:
 			span = p.busy
 		}
 	}
-	comp := r.census(failures)
 	if ctxErr != nil {
-		return span, comp, ctxErr
+		return span, r.led.Census(), ctxErr
 	}
-	if len(failures) > 0 {
-		return span, comp, &validate.PartialError{Failures: failures}
-	}
-	return span, comp, nil
+	return span, r.led.Census(), r.led.Err()
 }
 
 // handle processes one event from a worker reader.
-func (r *coordRun) handle(ev event, failures *[]validate.UnitFailure) {
+func (r *coordRun) handle(ev event) {
 	p := r.procs[ev.w]
 	if ev.gen != p.gen {
 		return // an earlier incarnation's leftovers
 	}
 	if ev.death != nil {
-		r.handleDeath(ev.w, ev.death, failures)
+		r.handleDeath(ev.w, ev.death)
 		return
 	}
 	p.lastSeen = time.Now()
@@ -398,16 +374,16 @@ func (r *coordRun) handle(ev event, failures *[]validate.UnitFailure) {
 			return
 		}
 		r.cl.Ship(ev.w, cluster.Coordinator, frameOverhead+int64(len(ev.payload)))
-		if m.unit < 0 || m.unit >= len(r.states) {
+		if m.unit < 0 || m.unit >= len(r.led.States) {
 			return
 		}
-		st := &r.states[m.unit]
+		st := &r.led.States[m.unit]
 		for _, v := range m.vios {
 			if !r.sink.Emit(ev.w, v) {
 				r.stopped = true
 				return
 			}
-			st.emitted++
+			st.Emitted++
 			r.anyEmit = true
 		}
 	case fDone:
@@ -418,10 +394,10 @@ func (r *coordRun) handle(ev event, failures *[]validate.UnitFailure) {
 			return
 		}
 		r.cl.Ship(ev.w, cluster.Coordinator, frameOverhead+int64(len(ev.payload)))
-		st := &r.states[m.unit]
-		if !st.done && !st.failed {
-			st.done = true
-			st.lastErr = nil
+		st := &r.led.States[m.unit]
+		if !st.Done && !st.Failed {
+			st.Done = true
+			st.LastErr = nil
 			r.resolved++
 		}
 		p.busy += m.wall
@@ -438,14 +414,14 @@ func (r *coordRun) handle(ev event, failures *[]validate.UnitFailure) {
 // handleDeath marks a worker dead, converts its exit into the unit's
 // failure cause, requeues its pending work, respawns if the budget
 // allows, and reassigns with backoff.
-func (r *coordRun) handleDeath(w int, d *deathNotice, failures *[]validate.UnitFailure) {
+func (r *coordRun) handleDeath(w int, d *deathNotice) {
 	p := r.procs[w]
 	if !p.alive {
 		return
 	}
 	p.alive = false
 	p.ready = false
-	r.deaths++
+	r.led.Deaths++
 
 	cause := p.killed
 	if cause == nil {
@@ -454,13 +430,12 @@ func (r *coordRun) handleDeath(w int, d *deathNotice, failures *[]validate.UnitF
 	var pending []int
 	if ui := p.inflight; ui >= 0 {
 		p.inflight = -1
-		st := &r.states[ui]
-		if !st.done && !st.failed {
-			st.lastErr = fmt.Errorf("unit %d (worker %d): %w", ui, w, cause)
-			if st.attempts >= r.maxAttempts() {
-				st.failed = true
+		st := &r.led.States[ui]
+		if !st.Done && !st.Failed {
+			st.LastErr = fmt.Errorf("unit %d (worker %d): %w", ui, w, cause)
+			if r.led.Exhausted(ui) {
+				r.led.Fail(ui)
 				r.resolved++
-				*failures = append(*failures, r.failure(ui))
 			} else {
 				pending = append(pending, ui)
 			}
@@ -485,8 +460,7 @@ func (r *coordRun) handleDeath(w int, d *deathNotice, failures *[]validate.UnitF
 	}
 
 	if len(pending) > 0 && r.liveCount() > 0 {
-		r.rounds++
-		r.backoff(r.rounds)
+		r.led.NextRound(r.ctx)
 		r.reassign(pending)
 	} else if len(pending) > 0 {
 		// keep them queued on the dead worker so the all-dead sweep in
@@ -540,14 +514,14 @@ func (r *coordRun) dispatch(p *procState) {
 	for len(p.queue) > 0 {
 		ui := p.queue[0]
 		p.queue = p.queue[1:]
-		st := &r.states[ui]
-		if st.done || st.failed {
+		st := &r.led.States[ui]
+		if st.Done || st.Failed {
 			continue
 		}
-		st.attempts++
+		st.Attempts++
 		p.inflight = ui
 		p.inflightAt = time.Now()
-		msg := assignMsg{unit: r.plan.Units[ui], skip: st.emitted, halo: r.haloFor(p, ui)}
+		msg := assignMsg{unit: r.plan.Units[ui], skip: int64(st.Emitted), halo: r.haloFor(p, ui)}
 		payload := encodeAssign(msg)
 		r.cl.Ship(cluster.Coordinator, p.id, frameOverhead+int64(len(payload)))
 		if err := p.fw.write(fAssign, payload); err != nil {
@@ -589,8 +563,8 @@ func (r *coordRun) haloFor(p *procState, ui int) []haloNode {
 	return halo
 }
 
-// reassign balances pending units across live workers (LPT on unit
-// weights, like the initial assignment) and kicks idle ones.
+// reassign places pending units on the live workers (Ledger.Rebalance)
+// and kicks idle ones.
 func (r *coordRun) reassign(pending []int) {
 	var live []*procState
 	for _, p := range r.procs {
@@ -601,41 +575,13 @@ func (r *coordRun) reassign(pending []int) {
 	if len(live) == 0 {
 		return
 	}
-	weights := make([]int, len(pending))
-	for i, ui := range pending {
-		weights[i] = int(r.plan.Units[ui].Weight())
-	}
-	sub := workload.BalanceLPT(weights, len(live))
-	for li, us := range sub {
-		for _, pi := range us {
-			live[li].queue = append(live[li].queue, pending[pi])
-		}
+	for li, us := range r.led.Rebalance(pending, len(live)) {
+		live[li].queue = append(live[li].queue, us...)
 	}
 	for _, p := range live {
 		r.dispatch(p)
 	}
 }
-
-// backoff sleeps the capped exponential recovery delay (PR 6 semantics),
-// bailing early if the context dies.
-func (r *coordRun) backoff(round int) {
-	d := r.opt.Retry.Backoff
-	if d <= 0 {
-		return
-	}
-	factor := 1 << (round - 1)
-	if factor > 8 {
-		factor = 8
-	}
-	t := time.NewTimer(d * time.Duration(factor))
-	defer t.Stop()
-	select {
-	case <-r.ctx.Done():
-	case <-t.C:
-	}
-}
-
-func (r *coordRun) maxAttempts() int { return 1 + r.opt.Retry.Max }
 
 func (r *coordRun) liveCount() int {
 	n := 0
@@ -653,39 +599,12 @@ func (r *coordRun) progress() bool {
 	if r.anyEmit {
 		return true
 	}
-	for i := range r.states {
-		if r.states[i].done {
+	for i := range r.led.States {
+		if r.led.States[i].Done {
 			return true
 		}
 	}
 	return false
-}
-
-func (r *coordRun) failure(ui int) validate.UnitFailure {
-	st := &r.states[ui]
-	err := st.lastErr
-	if err == nil {
-		err = fmt.Errorf("unit %d: never started: all workers dead", ui)
-	}
-	return validate.UnitFailure{Unit: ui, Group: r.plan.Units[ui].Group, Attempts: st.attempts, Err: err}
-}
-
-func (r *coordRun) census(failures []validate.UnitFailure) Completeness {
-	comp := Completeness{Units: len(r.states), WorkerDeaths: r.deaths, RecoveryRounds: r.rounds}
-	for i := range r.states {
-		st := &r.states[i]
-		if st.attempts > 0 {
-			comp.Attempted++
-		}
-		if st.attempts > 1 {
-			comp.Retries += st.attempts - 1
-		}
-		if st.done {
-			comp.Succeeded++
-		}
-	}
-	comp.Failed = len(failures)
-	return comp
 }
 
 // shutdown drains the fleet: SHUTDOWN to every live worker, wait for each

@@ -2,7 +2,6 @@ package validate
 
 import (
 	"context"
-	"time"
 
 	"gfd/internal/cluster"
 	"gfd/internal/core"
@@ -31,127 +30,59 @@ func DisVal(g *graph.Graph, frag *fragment.Fragmentation, set *core.Set, opt Opt
 	return res
 }
 
-// DisValB is disVal over a prepared bundle with cooperative cancellation
-// and optional streaming, with the same contract as RepValB — including
-// the fault-tolerant detection scheduler (runtime.go): a retried or
-// reassigned unit re-runs its prefetch / partial-match exchange on the new
-// worker, so recovery pays its shipping like the paper's model demands.
-func DisValB(ctx context.Context, b *Bundle, frag *fragment.Fragmentation, opt Options, sink Sink) (res *Result, err error) {
-	if err := ctx.Err(); err != nil {
-		// A dead context must not pay for the estimation phase.
-		return &Result{}, err
-	}
-	res = &Result{}
-	defer engineRecover(&err)
-	opt = opt.Normalized()
-	if frag.N != opt.N {
-		// The fragmentation fixes worker count; workers beyond frag.N
-		// would own no data.
-		opt.N = frag.N
-	}
-	g := b.g
-	start := time.Now()
-	cl := cluster.New(opt.N, opt.Cost)
-	inj := opt.Inject.Arm(opt.N)
-	cl.Arm(inj)
+// DisValB is disVal over a prepared bundle and a fragmentation, with the
+// same contract as RepValB — the two share one engine body (parVal),
+// including the fault-tolerant detection scheduler (runtime.go): a retried
+// or reassigned unit re-runs its prefetch / partial-match exchange on the
+// new worker, so recovery pays its shipping like the paper's model
+// demands.
+func DisValB(ctx context.Context, b *Bundle, frag *fragment.Fragmentation, opt Options, sink Sink) (*Result, error) {
+	return parVal(ctx, b, frag, opt, sink)
+}
 
-	set, groups, gk := b.ruleGroupsKeyed(opt)
-	res.Rules = set.Len()
-	res.Groups = len(groups)
-	topo := b.topo
+// blockExchange is dlocalVio's per-attempt block shipment: before a unit
+// runs on worker w, the parts of its data block w does not own arrive
+// either as a prefetch of the raw block or as partial matches, whichever
+// is estimated cheaper. It runs as the scheduler's prep hook, so a unit
+// reassigned after a worker death (or retried after a deadline miss)
+// re-ships its block to the worker that actually runs it — recovery is
+// charged, not free.
+type blockExchange struct {
+	b    *Bundle
+	frag *fragment.Fragmentation
+	run  *detectRun
+	// Per-worker strategy counts; worker w is their only writer.
+	prefetched, partials []int
+}
 
-	// ---- disPar: estimation with border/ownership accounting, plus the
-	// split and bi-criteria assignment — all memoized per (variant,
-	// fragmentation); warm rounds replay the plan and its comm charges
-	// and skip the work (estimate.go).
-	estStart := time.Now()
-	plan, estSpan, err := b.planFor(cl, groups, gk, opt, frag)
-	if err != nil {
-		return res, err
-	}
-	res.EstimateSpan = estSpan
-	res.SplitUnits = plan.split
-	res.Units = len(plan.units)
-	res.TotalWeight = plan.totalWeight
-	res.Makespan = plan.makespan
-	res.EstimateWall = time.Since(estStart)
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	units := plan.units
-	for w, idxs := range plan.assign {
-		cl.Ship(cluster.Coordinator, w, int64(len(idxs))*unitDescriptorBytes)
-	}
-	cl.EndRound()
+func newBlockExchange(b *Bundle, frag *fragment.Fragmentation, run *detectRun) *blockExchange {
+	return &blockExchange{b: b, frag: frag, run: run, prefetched: make([]int, frag.N), partials: make([]int, frag.N)}
+}
 
-	// ---- dlocalVio: detection with prefetch / partial-match choice,
-	// under the fault-tolerant scheduler. The block exchange runs in the
-	// per-attempt prep hook, so a unit reassigned after a worker death (or
-	// retried after a deadline miss) re-ships its block to the worker that
-	// actually runs it — recovery is charged, not free.
-	detStart := time.Now()
-	var collect *CollectSink
-	if sink == nil {
-		collect = NewCollectSink(opt.N)
-		sink = collect
-	}
-	prefetched := make([]int, opt.N)
-	partials := make([]int, opt.N)
-	prep := func(w, ui int) {
-		u := units[ui]
-		grp := groups[u.group]
-		shipped := u.shipBytes[w]
-		strategy := "prefetch"
-		// Weighing partial-match shipping against prefetching costs a
-		// scan of the block; it is only worth considering when the
-		// prefetch is substantial.
-		if !opt.NoOptimize && shipped > minPartialConsideration {
-			if pb := partialMatchBytes(g, topo, frag, grp, u, w, shipped); pb < shipped {
-				shipped = pb
-				strategy = "partial"
-			}
-		}
-		if shipped > 0 {
-			// Data arrives from each fragment owning a missing part;
-			// charge it as one bulk transfer into w.
-			cl.Ship(owningPeer(frag, u, w), w, shipped)
-		}
-		if strategy == "partial" {
-			partials[w]++
-		} else {
-			prefetched[w]++
+func (x *blockExchange) prep(w, ui int) {
+	u := x.run.units[ui]
+	shipped := u.shipBytes[w]
+	partial := false
+	// Weighing partial-match shipping against prefetching costs a scan of
+	// the block; it is only worth considering when the prefetch is
+	// substantial.
+	if !x.run.opt.NoOptimize && shipped > minPartialConsideration {
+		grp := x.run.groups[u.group]
+		if pb := partialMatchBytes(x.b.g, x.b.topo, x.frag, grp, u, w, shipped); pb < shipped {
+			shipped = pb
+			partial = true
 		}
 	}
-	run := &detectRun{ctx: ctx, cl: cl, topo: topo, groups: groups, units: units, opt: opt, sink: sink, inj: inj, prep: prep}
-	span, comp, perr := run.run(plan.assign)
-	res.DetectWall = time.Since(detStart)
-	res.DetectSpan = span
-	res.Completeness = comp
-	cl.EndRound() // block/partial-match exchanges during detection
-
-	for w, cnt := range run.counts {
-		cl.Ship(w, cluster.Coordinator, cnt*violationBytes)
-		res.PrefetchUnits += prefetched[w]
-		res.PartialUnits += partials[w]
+	if shipped > 0 {
+		// Data arrives from each fragment owning a missing part; charge it
+		// as one bulk transfer into w.
+		x.run.cl.Ship(owningPeer(x.frag, u, w), w, shipped)
 	}
-	cl.EndRound()
-	if collect != nil {
-		res.Violations = collect.Report()
-		res.Violations.Sort()
+	if partial {
+		x.partials[w]++
+	} else {
+		x.prefetched[w]++
 	}
-
-	st := cl.Stats()
-	res.BytesShipped = st.TotalBytes
-	res.Messages = st.TotalMsgs
-	res.Comm = cl.CommTime()
-	res.Wall = time.Since(start)
-	if err := ctx.Err(); err != nil {
-		return res, err
-	}
-	if perr != nil {
-		return res, perr
-	}
-	return res, nil
 }
 
 // commCostWeight converts shipped bytes into load-comparable units for the

@@ -6,6 +6,7 @@ import (
 
 	"gfd/internal/cluster"
 	"gfd/internal/core"
+	"gfd/internal/fragment"
 	"gfd/internal/graph"
 )
 
@@ -39,7 +40,18 @@ func RepVal(g *graph.Graph, set *core.Set, opt Options) *Result {
 // panics are isolated, failed units are retried under Options.Retry, and
 // when budgets exhaust the error is a *PartialError (errors.Is ErrPartial)
 // with Result.Completeness carrying the census.
-func RepValB(ctx context.Context, b *Bundle, opt Options, sink Sink) (res *Result, err error) {
+func RepValB(ctx context.Context, b *Bundle, opt Options, sink Sink) (*Result, error) {
+	return parVal(ctx, b, nil, opt, sink)
+}
+
+// parVal is the one body of repVal and disVal: estimate and balance the
+// work units (bPar / disPar), then run local detection under the
+// fault-tolerant scheduler and union the violations at the coordinator.
+// A nil frag is repVal over the replicated graph; a fragmentation makes it
+// disVal, which fixes the worker count to frag.N, ships each unit's
+// missing block (prefetch or partial matches) before every attempt, and
+// closes that exchange with a round of its own.
+func parVal(ctx context.Context, b *Bundle, frag *fragment.Fragmentation, opt Options, sink Sink) (res *Result, err error) {
 	if err := ctx.Err(); err != nil {
 		// A dead context must not pay for the estimation phase.
 		return &Result{}, err
@@ -47,6 +59,11 @@ func RepValB(ctx context.Context, b *Bundle, opt Options, sink Sink) (res *Resul
 	res = &Result{}
 	defer engineRecover(&err)
 	opt = opt.Normalized()
+	if frag != nil {
+		// The fragmentation fixes worker count; workers beyond frag.N
+		// would own no data.
+		opt.N = frag.N
+	}
 	start := time.Now()
 	cl := cluster.New(opt.N, opt.Cost)
 	inj := opt.Inject.Arm(opt.N)
@@ -55,13 +72,13 @@ func RepValB(ctx context.Context, b *Bundle, opt Options, sink Sink) (res *Resul
 	set, groups, gk := b.ruleGroupsKeyed(opt)
 	res.Rules = set.Len()
 	res.Groups = len(groups)
-	topo := b.topo
 
-	// ---- bPar: estimation + split + balanced n-partition, all memoized
-	// per variant (estimate.go); warm rounds replay the plan and its comm
-	// charges without re-touching the unit set ------------------------
+	// ---- estimation + split + balanced (or bi-criteria, with frag)
+	// n-partition, all memoized per (variant, fragmentation); warm rounds
+	// replay the plan and its comm charges without re-touching the unit
+	// set (estimate.go) --------------------------------------------------
 	estStart := time.Now()
-	plan, estSpan, err := b.planFor(cl, groups, gk, opt, nil)
+	plan, estSpan, err := b.planFor(cl, groups, gk, opt, frag)
 	if err != nil {
 		return res, err
 	}
@@ -80,19 +97,31 @@ func RepValB(ctx context.Context, b *Bundle, opt Options, sink Sink) (res *Resul
 	}
 	cl.EndRound()
 
-	// ---- localVio: parallel local detection under the fault-tolerant
-	// scheduler (runtime.go) -------------------------------------------
+	// ---- local detection under the fault-tolerant scheduler
+	// (runtime.go) --------------------------------------------------------
 	detStart := time.Now()
 	var collect *CollectSink
 	if sink == nil {
 		collect = NewCollectSink(opt.N)
 		sink = collect
 	}
-	run := &detectRun{ctx: ctx, cl: cl, topo: topo, groups: groups, units: plan.units, opt: opt, sink: sink, inj: inj}
+	run := &detectRun{ctx: ctx, cl: cl, topo: b.topo, groups: groups, units: plan.units, opt: opt, sink: sink, inj: inj}
+	var ex *blockExchange
+	if frag != nil {
+		ex = newBlockExchange(b, frag, run)
+		run.prep = ex.prep
+	}
 	span, comp, perr := run.run(plan.assign)
 	res.DetectWall = time.Since(detStart)
 	res.DetectSpan = span
 	res.Completeness = comp
+	if ex != nil {
+		cl.EndRound() // block/partial-match exchanges during detection
+		for w := range ex.prefetched {
+			res.PrefetchUnits += ex.prefetched[w]
+			res.PartialUnits += ex.partials[w]
+		}
+	}
 
 	// ---- union at the coordinator -------------------------------------
 	// Violations return to the coordinator whichever sink consumed them;
@@ -114,10 +143,7 @@ func RepValB(ctx context.Context, b *Bundle, opt Options, sink Sink) (res *Resul
 	if err := ctx.Err(); err != nil {
 		return res, err
 	}
-	if perr != nil {
-		return res, perr
-	}
-	return res, nil
+	return res, perr
 }
 
 const (
@@ -125,8 +151,3 @@ const (
 	candidateInfoBytes  = 16 // candidate + block-part size
 	violationBytes      = 48 // rule name tag + match vector
 )
-
-// The workload-estimation phase (candidate listing, equi-depth ranges,
-// block-size measurement, unit assembly) lives in estimate.go: it is
-// shared by repVal and disVal and memoized on the Bundle so warm rounds
-// skip it entirely.

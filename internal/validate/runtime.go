@@ -32,7 +32,7 @@ import (
 //     model, so DetectSpan and the comm figures stay honest under faults;
 //   - retried units never double-report: per-unit enumeration is
 //     deterministic, so a retry skips exactly the violations its earlier
-//     attempts already delivered (unitState.emitted) before emitting the
+//     attempts already delivered (UnitState.Emitted) before emitting the
 //     rest — the violation set of a recovered run is byte-identical to the
 //     fault-free run's (the chaos differential suite pins this);
 //   - when budgets exhaust (or every worker is dead) the run returns a
@@ -89,15 +89,156 @@ func (e *PartialError) Unwrap() []error {
 	return out
 }
 
-// unitState tracks one unit across attempts and recovery rounds. It is
-// written by the worker currently owning the unit (ownership moves only
-// between rounds) and read by the coordinator after each superstep.
-type unitState struct {
-	attempts int
-	emitted  int // violations already delivered by earlier attempts; retries skip these
-	done     bool
-	failed   bool // already recorded in the failure list; later rounds skip it
-	lastErr  error
+// Ledger is the per-unit retry ledger of one fault-tolerant detection
+// run. The in-process scheduler below and the multi-process coordinator
+// (internal/dist) both keep their unit bookkeeping in it, so the policy —
+// unit state across attempts, the exhaustion check, failure records, the
+// completeness census, the recovery-round backoff and LPT rebalancing over
+// live workers — exists once, whatever transport runs the units.
+type Ledger struct {
+	States   []UnitState
+	Failures []UnitFailure
+	Deaths   int // workers lost
+	Rounds   int // recovery rounds opened
+
+	maxAttempts int
+	backoff     time.Duration
+	group       func(ui int) int // rule group of a unit, for failure records
+	weight      func(ui int) int // scheduling weight of a unit, for rebalancing
+}
+
+// UnitState tracks one unit across attempts and recovery rounds. It is
+// written by whoever currently owns the unit (ownership moves only between
+// attempts) and read by the coordinator between them.
+type UnitState struct {
+	Attempts int
+	Emitted  int // violations already delivered by earlier attempts; retries skip these
+	Done     bool
+	Failed   bool // already recorded in Failures; later sweeps skip it
+	LastErr  error
+}
+
+// NewLedger starts the ledger of a run over the given number of units
+// under opt's normalized retry budget. group and weight describe unit ui.
+func NewLedger(units int, opt Options, group, weight func(ui int) int) *Ledger {
+	return &Ledger{
+		States:      make([]UnitState, units),
+		maxAttempts: 1 + opt.Retry.Max,
+		backoff:     opt.Retry.Backoff,
+		group:       group,
+		weight:      weight,
+	}
+}
+
+// Exhausted reports whether unit ui has used up its attempt budget.
+func (l *Ledger) Exhausted(ui int) bool { return l.States[ui].Attempts >= l.maxAttempts }
+
+// Fail abandons unit ui, recording its failure once; it reports whether
+// this call recorded it (false for a unit already done or failed).
+func (l *Ledger) Fail(ui int) bool {
+	st := &l.States[ui]
+	if st.Done || st.Failed {
+		return false
+	}
+	st.Failed = true
+	err := st.LastErr
+	if err == nil {
+		err = fmt.Errorf("unit %d: never started: %w", ui, errAllWorkersDead)
+	}
+	l.Failures = append(l.Failures, UnitFailure{Unit: ui, Group: l.group(ui), Attempts: st.Attempts, Err: err})
+	return true
+}
+
+var errAllWorkersDead = errors.New("validate: all workers dead")
+
+// Pending sweeps the unresolved units after a superstep: units still
+// inside their budget are returned for reassignment; exhausted ones fail.
+func (l *Ledger) Pending() (pending []int) {
+	for ui := range l.States {
+		st := &l.States[ui]
+		if st.Done || st.Failed {
+			continue
+		}
+		if l.Exhausted(ui) {
+			l.Fail(ui)
+			continue
+		}
+		pending = append(pending, ui)
+	}
+	return pending
+}
+
+// FailUnresolved abandons every unit neither done nor failed — there is
+// nothing left to run them on — and returns how many it failed.
+func (l *Ledger) FailUnresolved() int {
+	n := 0
+	for ui := range l.States {
+		if l.Fail(ui) {
+			n++
+		}
+	}
+	return n
+}
+
+// NextRound opens a recovery round and sleeps its capped exponential
+// backoff, returning false if the context died while waiting.
+func (l *Ledger) NextRound(ctx context.Context) bool {
+	l.Rounds++
+	if l.backoff <= 0 {
+		return ctx.Err() == nil
+	}
+	factor := min(1<<(l.Rounds-1), maxBackoffFactor)
+	t := time.NewTimer(l.backoff * time.Duration(factor))
+	defer t.Stop()
+	select {
+	case <-ctx.Done():
+		return false
+	case <-t.C:
+		return true
+	}
+}
+
+// Rebalance spreads the pending units over live workers with LPT on their
+// weights, like the initial assignment: out[i] lists the units of the
+// i-th of the live workers.
+func (l *Ledger) Rebalance(pending []int, live int) [][]int {
+	weights := make([]int, len(pending))
+	for i, ui := range pending {
+		weights[i] = l.weight(ui)
+	}
+	out := workload.BalanceLPT(weights, live)
+	for _, us := range out {
+		for i, pi := range us {
+			us[i] = pending[pi]
+		}
+	}
+	return out
+}
+
+// Census counts the run's completeness from the unit states.
+func (l *Ledger) Census() Completeness {
+	comp := Completeness{Units: len(l.States), Failed: len(l.Failures), WorkerDeaths: l.Deaths, RecoveryRounds: l.Rounds}
+	for i := range l.States {
+		st := &l.States[i]
+		if st.Attempts > 0 {
+			comp.Attempted++
+		}
+		if st.Attempts > 1 {
+			comp.Retries += st.Attempts - 1
+		}
+		if st.Done {
+			comp.Succeeded++
+		}
+	}
+	return comp
+}
+
+// Err is the run's *PartialError, or nil when no unit failed.
+func (l *Ledger) Err() error {
+	if len(l.Failures) == 0 {
+		return nil
+	}
+	return &PartialError{Failures: l.Failures}
 }
 
 // detectRun is one fault-tolerant detection phase: the shared inputs plus
@@ -116,15 +257,14 @@ type detectRun struct {
 	// here, so a reassigned or retried unit re-ships to its new worker.
 	prep func(w, ui int)
 
-	mu     sync.Mutex // guards live/deaths/stopped and dead-worker state writes
-	states []unitState
-	live   []bool
+	mu   sync.Mutex // guards live, stopped and dead-worker writes to led
+	led  *Ledger
+	live []bool
 	// counts[w] is the number of violations worker w delivered through the
 	// sink — the engines charge the violation-return shipment off it.
 	// Worker w is the only writer of counts[w] (ownership moves only
 	// between rounds), so no lock is needed.
 	counts  []int64
-	deaths  int
 	stopped bool // the sink refused a violation; the whole run stops
 }
 
@@ -132,22 +272,21 @@ type detectRun struct {
 // returns the modeled span (summed across recovery supersteps), the
 // completeness census, and the partial-failure error (nil when every unit
 // succeeded or the run was cancelled/stopped first).
-func (r *detectRun) run(assign workload.Assignment) (time.Duration, Completeness, *PartialError) {
+func (r *detectRun) run(assign workload.Assignment) (time.Duration, Completeness, error) {
 	n := r.opt.N
-	r.states = make([]unitState, len(r.units))
+	r.led = NewLedger(len(r.units), r.opt,
+		func(ui int) int { return r.units[ui].group },
+		func(ui int) int { return r.units[ui].Weight() })
 	r.live = make([]bool, n)
 	for i := range r.live {
 		r.live[i] = true
 	}
 	r.counts = make([]int64, n)
 
-	maxAttempts := 1 + r.opt.Retry.Max
 	todo := make([][]int, n)
 	copy(todo, assign)
 
 	var span time.Duration
-	var failures []UnitFailure
-	round := 0
 	for {
 		// The superstep. Workers recover their own panics (keeping unit
 		// context), so the cluster-level net stays unused here.
@@ -158,44 +297,23 @@ func (r *detectRun) run(assign workload.Assignment) (time.Duration, Completeness
 			// succeeded nor failed; the caller reports ctx.Err() / nil.
 			break
 		}
-		pending := r.collect(maxAttempts, &failures)
+		pending := r.led.Pending()
 		if len(pending) == 0 {
 			break
 		}
 		liveIdx := r.liveWorkers()
 		if len(liveIdx) == 0 {
 			// Nothing left to run on. Everything pending is abandoned.
-			for _, ui := range pending {
-				failures = append(failures, r.failure(ui))
-			}
+			r.led.FailUnresolved()
 			break
 		}
-		round++
-		if !r.backoff(round) {
+		if !r.led.NextRound(r.ctx) {
 			break // context died during backoff
 		}
 		todo = r.reassign(pending, liveIdx, n)
 		r.cl.EndRound() // reassignment descriptor exchange
 	}
-
-	comp := Completeness{Units: len(r.units), WorkerDeaths: r.deaths, RecoveryRounds: round}
-	for i := range r.states {
-		st := &r.states[i]
-		if st.attempts > 0 {
-			comp.Attempted++
-		}
-		if st.attempts > 1 {
-			comp.Retries += st.attempts - 1
-		}
-		if st.done {
-			comp.Succeeded++
-		}
-	}
-	comp.Failed = len(failures)
-	if len(failures) == 0 {
-		return span, comp, nil
-	}
-	return span, comp, &PartialError{Failures: failures}
+	return span, r.led.Census(), r.led.Err()
 }
 
 // worker drains one worker's unit list for the current round. All panics —
@@ -216,11 +334,11 @@ func (r *detectRun) worker(w int, mine []int) {
 		werr := cluster.Recovered(w, cur, rec)
 		r.mu.Lock()
 		r.live[w] = false
-		r.deaths++
+		r.led.Deaths++
 		if cur >= 0 {
-			st := &r.states[cur]
-			st.emitted += delivered
-			st.lastErr = werr
+			st := &r.led.States[cur]
+			st.Emitted += delivered
+			st.LastErr = werr
 		}
 		r.mu.Unlock()
 	}()
@@ -251,10 +369,10 @@ func (r *detectRun) worker(w int, mine []int) {
 			return
 		}
 		u := r.units[ui]
-		st := &r.states[ui]
+		st := &r.led.States[ui]
 		cur, delivered = ui, 0
-		skip, found = st.emitted, 0
-		st.attempts++
+		skip, found = st.Emitted, 0
+		st.Attempts++
 		det.unit = ui
 		if r.prep != nil {
 			r.prep(w, ui)
@@ -273,14 +391,14 @@ func (r *detectRun) worker(w int, mine []int) {
 		if !det.cancel.expiredNow() {
 			ok = det.detect(r.groups[u.group], u, !r.opt.NoOptimize, out)
 		}
-		st.emitted += delivered
+		st.Emitted += delivered
 		expired := det.cancel.deadlineHit
 		det.cancel.disarm()
 		cur = -1
 		if expired {
 			// The attempt missed its deadline; the worker survives and the
 			// unit goes back to the coordinator for a retry.
-			st.lastErr = fmt.Errorf("unit %d (worker %d): %w", ui, w, context.DeadlineExceeded)
+			st.LastErr = fmt.Errorf("unit %d (worker %d): %w", ui, w, context.DeadlineExceeded)
 			continue
 		}
 		if det.cancel.hit {
@@ -294,44 +412,10 @@ func (r *detectRun) worker(w int, mine []int) {
 			r.mu.Unlock()
 			return
 		}
-		st.done = true
-		st.lastErr = nil
+		st.Done = true
+		st.LastErr = nil
 	}
 }
-
-// collect partitions the incomplete units after a superstep: units still
-// inside their budget are returned for reassignment; exhausted ones are
-// appended to failures.
-func (r *detectRun) collect(maxAttempts int, failures *[]UnitFailure) (pending []int) {
-	for ui := range r.states {
-		st := &r.states[ui]
-		if st.done {
-			continue
-		}
-		if st.attempts >= maxAttempts {
-			// Record the exhausted unit once; collect runs again after
-			// every recovery round and must not re-report it.
-			if !st.failed {
-				st.failed = true
-				*failures = append(*failures, r.failure(ui))
-			}
-			continue
-		}
-		pending = append(pending, ui)
-	}
-	return pending
-}
-
-func (r *detectRun) failure(ui int) UnitFailure {
-	st := &r.states[ui]
-	err := st.lastErr
-	if err == nil {
-		err = fmt.Errorf("unit %d: never started: %w", ui, errAllWorkersDead)
-	}
-	return UnitFailure{Unit: ui, Group: r.units[ui].group, Attempts: st.attempts, Err: err}
-}
-
-var errAllWorkersDead = errors.New("validate: all workers dead")
 
 func (r *detectRun) liveWorkers() []int {
 	var idx []int
@@ -343,43 +427,13 @@ func (r *detectRun) liveWorkers() []int {
 	return idx
 }
 
-// backoff sleeps the capped exponential recovery delay for the given
-// round, returning false if the context died while waiting.
-func (r *detectRun) backoff(round int) bool {
-	d := r.opt.Retry.Backoff
-	if d <= 0 {
-		return r.ctx.Err() == nil
-	}
-	factor := 1 << (round - 1)
-	if factor > maxBackoffFactor {
-		factor = maxBackoffFactor
-	}
-	d *= time.Duration(factor)
-	t := time.NewTimer(d)
-	defer t.Stop()
-	select {
-	case <-r.ctx.Done():
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// reassign balances the pending units across the live workers (LPT on the
-// unit weights, like the initial assignment) and charges the descriptor
-// reshipment to each receiving worker.
+// reassign places the pending units on the live workers (Ledger.Rebalance)
+// and charges the descriptor reshipment to each receiving worker.
 func (r *detectRun) reassign(pending, liveIdx []int, n int) [][]int {
-	weights := make([]int, len(pending))
-	for i, ui := range pending {
-		weights[i] = r.units[ui].Weight()
-	}
-	sub := workload.BalanceLPT(weights, len(liveIdx))
 	todo := make([][]int, n)
-	for li, us := range sub {
+	for li, us := range r.led.Rebalance(pending, len(liveIdx)) {
 		w := liveIdx[li]
-		for _, pi := range us {
-			todo[w] = append(todo[w], pending[pi])
-		}
+		todo[w] = us
 		if len(us) > 0 {
 			r.cl.Ship(cluster.Coordinator, w, int64(len(us))*unitDescriptorBytes)
 		}
