@@ -2,6 +2,7 @@ package graph
 
 import (
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -27,10 +28,22 @@ type Flat struct {
 
 // Flat returns the snapshot's flat-array image for serialization. The
 // arrays are the snapshot's own backing storage (no copies) — the Names
-// slice is the only allocation.
+// slice is the only allocation, save one case: symbols interned after the
+// freeze (rules prepared against a live overlay share the base snapshot's
+// table) own no class yet, so a copy of the class offsets is padded with
+// empty classes to cover them.
 func (s *Snapshot) Flat() Flat {
+	names := s.syms.Names()
+	classOff := s.classOff
+	if pad := len(names) + 1 - len(classOff); pad > 0 {
+		end := classOff[len(classOff)-1]
+		classOff = slices.Clone(classOff)
+		for range pad {
+			classOff = append(classOff, end)
+		}
+	}
 	return Flat{
-		Names:     s.syms.Names(),
+		Names:     names,
 		Labels:    s.labels,
 		AttrOff:   s.attrOff,
 		AttrPairs: s.attrPairs,
@@ -38,7 +51,7 @@ func (s *Snapshot) Flat() Flat {
 		Out:       s.out,
 		InOff:     s.inOff,
 		In:        s.in,
-		ClassOff:  s.classOff,
+		ClassOff:  classOff,
 		Classes:   s.classes,
 	}
 }

@@ -15,9 +15,13 @@ import (
 	"path/filepath"
 	"testing"
 
+	"gfd/internal/core"
+	"gfd/internal/dist"
+	"gfd/internal/fragment"
 	"gfd/internal/gen"
 	"gfd/internal/graph"
 	"gfd/internal/incremental"
+	"gfd/internal/pattern"
 	"gfd/internal/store"
 	"gfd/internal/validate"
 )
@@ -138,5 +142,46 @@ func TestApplyOverLoadedSnapshotNeverWritesThrough(t *testing.T) {
 	defer l2.Close()
 	if n := l2.Snapshot().NumNodes(); n != frozenNodes {
 		t.Fatalf("re-opened snapshot has %d nodes, want the original %d", n, frozenNodes)
+	}
+}
+
+// TestPersistAfterLiveOverlayPrepare is the regression test for persisting
+// a graph whose symbol table grew after its freeze: preparing a rule set
+// against a live overlay interns the rules' absent labels and constants
+// into the base snapshot's shared table, and Graph.Freeze keeps returning
+// that snapshot while the graph is unmutated. Sharding and saving it must
+// still produce images that load.
+func TestPersistAfterLiveOverlayPrepare(t *testing.T) {
+	ctx := context.Background()
+	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 20, Seed: 3})
+	set := gen.MineGFDs(g, gen.MineConfig{NumRules: 3, PatternSize: 3, Seed: 4})
+	sess := mustOpen(t, g)
+	sess.Incremental(set)
+	q := pattern.New()
+	q.AddNode("x", "no_such_label")
+	absent := core.MustNewSet(core.MustNew("absent", q, nil, []core.Literal{core.Const("x", "no_such_attr", "no_such_value")}))
+	prep, err := sess.Prepare(absent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prep.Detect(ctx, validate.Options{Engine: validate.EngineSequential}); err != nil {
+		t.Fatal(err)
+	}
+
+	dir := t.TempDir()
+	if _, err := dist.WriteShards(g.Freeze(), 2, fragment.Hash, dir, "g"); err != nil {
+		t.Fatalf("WriteShards after a live-overlay Prepare: %v", err)
+	}
+	path := filepath.Join(dir, "g.gfds")
+	if err := store.Save(ctx, g.Freeze(), path); err != nil {
+		t.Fatal(err)
+	}
+	l, err := store.Open(ctx, path)
+	if err != nil {
+		t.Fatalf("saved snapshot does not reopen: %v", err)
+	}
+	defer l.Close()
+	if got, want := l.Snapshot().NumNodes(), g.NumNodes(); got != want {
+		t.Fatalf("reopened snapshot holds %d nodes, want %d", got, want)
 	}
 }
