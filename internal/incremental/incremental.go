@@ -31,13 +31,13 @@ package incremental
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 
 	"gfd/internal/core"
 	"gfd/internal/graph"
 	"gfd/internal/match"
 	"gfd/internal/pattern"
+	"gfd/internal/validate"
 	"gfd/internal/workload"
 )
 
@@ -151,27 +151,10 @@ type Detector struct {
 
 	// violations keyed by unit identity (rule index + pivot node vector),
 	// so an affected unit's stale entries can be replaced atomically.
-	byUnit map[unitID][]Violation
+	byUnit map[unitID][]validate.Violation
 	// UnitsRevalidated counts units re-checked since construction — the
 	// quantity the incremental-vs-full benchmarks compare.
 	UnitsRevalidated int
-}
-
-// Violation mirrors validate.Violation (duplicated to keep the package
-// free of a dependency cycle with the batch engines).
-type Violation struct {
-	Rule  string
-	Match core.Match
-}
-
-// Key returns the canonical identity of a violation.
-func (v Violation) Key() string {
-	var b strings.Builder
-	b.WriteString(v.Rule)
-	for _, id := range v.Match {
-		fmt.Fprintf(&b, ",%d", id)
-	}
-	return b.String()
 }
 
 // New builds a detector with an initial full validation of g. The graph
@@ -194,7 +177,7 @@ func NewOnOverlay(ov *graph.Overlay, set *core.Set) *Detector {
 		rules:   set.Rules(),
 		version: g.Version(),
 		pin:     make(map[int]graph.NodeID, 2),
-		byUnit:  make(map[unitID][]Violation),
+		byUnit:  make(map[unitID][]validate.Violation),
 	}
 	for _, f := range d.rules {
 		d.pivots = append(d.pivots, workload.ComputePivot(f.Q))
@@ -272,12 +255,12 @@ func (d *Detector) OnCompact(fn func(*graph.Overlay)) { d.compacted = fn }
 func (d *Detector) Synced() bool { return d.version == d.g.Version() }
 
 // Report returns the current violation set, canonically sorted.
-func (d *Detector) Report() []Violation {
-	var out []Violation
+func (d *Detector) Report() []validate.Violation {
+	var out validate.Report
 	for _, vs := range d.byUnit {
 		out = append(out, vs...)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key() < out[j].Key() })
+	out.Sort()
 	return out
 }
 
@@ -464,11 +447,11 @@ func (d *Detector) revalidateUnit(ri int, cands []graph.NodeID) {
 		d.ov.BlockInto(d.block, z, pv.Radii[i])
 		d.pin[pv.Vars[i]] = z
 	}
-	var found []Violation
+	var found []validate.Violation
 	prog := d.progs[ri]
 	d.m.Enumerate(f.Q, match.Options{Block: d.block, Pin: d.pin}, func(m core.Match) bool {
 		if prog.IsViolation(d.ov, m) {
-			found = append(found, Violation{Rule: f.Name, Match: append(core.Match(nil), m...)})
+			found = append(found, validate.Violation{Rule: f.Name, Match: append(core.Match(nil), m...)})
 		}
 		return true
 	})

@@ -65,7 +65,7 @@ func randomBatch(rng *rand.Rand, n int, labels []string, size int) []incremental
 
 // reportKeys canonicalizes the detector's report for comparison with an
 // engine's violation set.
-func reportKeys(vs []incremental.Violation) []string {
+func reportKeys(vs []validate.Violation) []string {
 	keys := make([]string, len(vs))
 	for i, v := range vs {
 		keys[i] = v.Key()
