@@ -215,8 +215,8 @@ func BenchmarkSequentialVsParallel(b *testing.B) {
 
 // BenchmarkSessionReuse is the prepared-session payoff benchmark: warm
 // Detect rounds on one Prepared (freeze, reduction, grouping and rule
-// lowering all amortized) against the cold free-function path on a fresh
-// graph copy per call (cloning excluded from the timing). The gfdbench
+// lowering all amortized) against a one-shot session on a fresh graph
+// copy per call (cloning excluded from the timing). The gfdbench
 // `sessionreuse` experiment emits the same comparison as JSON for the
 // benchdiff gate.
 func BenchmarkSessionReuse(b *testing.B) {
@@ -227,7 +227,17 @@ func BenchmarkSessionReuse(b *testing.B) {
 			b.StopTimer()
 			gc := w.G.Clone()
 			b.StartTimer()
-			gfd.ValidateParallel(gc, w.Set, opt)
+			sess, err := gfd.NewSession(gc)
+			if err != nil {
+				b.Fatal(err)
+			}
+			prep, err := sess.Prepare(w.Set)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := prep.Detect(context.Background(), opt); err != nil {
+				b.Fatal(err)
+			}
 		}
 	})
 	b.Run("warm", func(b *testing.B) {

@@ -9,8 +9,8 @@ import (
 )
 
 // ExampleSession demonstrates the prepared-session lifecycle: build a
-// graph, prepare a rule set once, then detect and stream with any engine
-// — freeze and rule lowering are paid once across every call.
+// graph, prepare a rule set once, then detect and pull violations with
+// any engine — freeze and rule lowering are paid once across every call.
 func ExampleSession() {
 	q := gfd.NewPattern()
 	x := q.AddNode("x", "country")
@@ -36,12 +36,12 @@ func ExampleSession() {
 	par, _ := prep.Detect(ctx, gfd.Options{Engine: gfd.EngineReplicated, N: 4})
 	fmt.Println("sequential:", len(seq.Violations), "parallel:", len(par.Violations))
 
-	// Stream delivers violations as found; returning false stops early.
+	// Violations yields violations as found; breaking out stops early.
 	streamed := 0
-	_ = prep.Stream(ctx, gfd.Options{}, func(gfd.Violation) bool {
+	for range prep.Violations(ctx, gfd.Options{}) {
 		streamed++
-		return false
-	})
+		break
+	}
 	fmt.Println("streamed before stop:", streamed)
 
 	// Mutation invalidates the prepared state; the next Detect re-freezes.
@@ -54,9 +54,9 @@ func ExampleSession() {
 	// after repair: 0
 }
 
-// ExampleValidate demonstrates the one-capital rule catching the
+// ExamplePrepared_Detect demonstrates the one-capital rule catching the
 // Canberra/Melbourne inconsistency from the paper's introduction.
-func ExampleValidate() {
+func ExamplePrepared_Detect() {
 	q := gfd.NewPattern()
 	x := q.AddNode("x", "country")
 	y := q.AddNode("y", "city")
@@ -73,8 +73,10 @@ func ExampleValidate() {
 	g.MustAddEdge(au, c1, "capital")
 	g.MustAddEdge(au, c2, "capital")
 
-	vio := gfd.Validate(g, gfd.MustSet(phi))
-	fmt.Println(len(vio), "violations of", vio[0].Rule)
+	sess, _ := gfd.NewSession(g)
+	prep, _ := sess.Prepare(gfd.MustSet(phi))
+	res, _ := prep.Detect(context.Background(), gfd.Options{Engine: gfd.EngineSequential})
+	fmt.Println(len(res.Violations), "violations of", res.Violations[0].Rule)
 	// Output: 2 violations of one_capital
 }
 
@@ -127,7 +129,10 @@ gfd penguin {
 	penguin := g.AddNode("penguin", gfd.Attrs{"can_fly": "false"})
 	g.MustAddEdge(penguin, bird, "is_a")
 
-	fmt.Println("satisfies:", gfd.Satisfies(g, set))
+	sess, _ := gfd.NewSession(g)
+	prep, _ := sess.Prepare(set)
+	res, _ := prep.Detect(context.Background(), gfd.Options{Engine: gfd.EngineSequential})
+	fmt.Println("satisfies:", len(res.Violations) == 0)
 	// Output: satisfies: false
 }
 

@@ -7,6 +7,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"gfd"
@@ -90,14 +91,30 @@ func main() {
 	reduced := gfd.Reduce(set)
 	fmt.Printf("rules: %d (%d after implication reduction)\n", set.Len(), reduced.Len())
 
+	// One prepared session serves both parallel engines.
+	ctx := context.Background()
+	sess, err := gfd.NewSession(g)
+	if err != nil {
+		panic(err)
+	}
+	prep, err := sess.Prepare(reduced)
+	if err != nil {
+		panic(err)
+	}
+
 	// Replicated-graph parallel detection.
-	rep := gfd.ValidateParallel(g, reduced, gfd.Options{N: 8})
+	rep, err := prep.Detect(ctx, gfd.Options{Engine: gfd.EngineReplicated, N: 8})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("repVal: %d violations, %d units, makespan %d, wall %v\n",
 		len(rep.Violations), rep.Units, rep.Makespan, rep.Wall.Round(0))
 
 	// Fragmented-graph detection with simulated data shipment.
-	frag := gfd.Partition(g, 8)
-	dis := gfd.ValidateFragmented(g, frag, reduced, gfd.Options{N: 8})
+	dis, err := prep.Detect(ctx, gfd.Options{Engine: gfd.EngineFragmented, Frag: gfd.Partition(g, 8), N: 8})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("disVal: %d violations, shipped %d bytes, comm %v, total %v\n",
 		len(dis.Violations), dis.BytesShipped, dis.Comm.Round(0), dis.TotalTime().Round(0))
 

@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"gfd"
@@ -36,8 +37,20 @@ func main() {
 		[]gfd.CFDCondition{{Attr: "city", Value: "Edi"}})
 
 	set := gfd.MustSet(cfd1, cfd2)
+	sess, err := gfd.NewSession(g)
+	if err != nil {
+		panic(err)
+	}
+	prep, err := sess.Prepare(set)
+	if err != nil {
+		panic(err)
+	}
+	res, err := prep.Detect(context.Background(), gfd.Options{Engine: gfd.EngineSequential})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Println("violations over the tuple graph:")
-	for _, v := range gfd.Validate(g, set) {
+	for _, v := range res.Violations {
 		fmt.Printf("  %s on tuple(s) %v\n", v.Rule, v.Nodes())
 	}
 

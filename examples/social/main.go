@@ -5,6 +5,7 @@
 package main
 
 import (
+	"context"
 	"fmt"
 	"sort"
 
@@ -55,7 +56,18 @@ func main() {
 	g := buildSocialGraph()
 	set := gfd.MustSet(fakeAccount("free prize"), blogAnnotation())
 
-	res := gfd.ValidateParallel(g, set, gfd.Options{N: 4})
+	sess, err := gfd.NewSession(g)
+	if err != nil {
+		panic(err)
+	}
+	prep, err := sess.Prepare(set)
+	if err != nil {
+		panic(err)
+	}
+	res, err := prep.Detect(context.Background(), gfd.Options{Engine: gfd.EngineReplicated, N: 4})
+	if err != nil {
+		panic(err)
+	}
 	fmt.Printf("checked %d accounts/blogs: %d violations (%d work units)\n",
 		g.NumNodes(), len(res.Violations), res.Units)
 

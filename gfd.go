@@ -40,9 +40,8 @@
 // a global emission lock — so the first violation surfaces long before
 // the run finishes and memory stays bounded by the buffer, not the match
 // set. Breaking out of the range (or cancelling ctx) stops candidate
-// enumeration mid-class. Detect and the callback Stream are thin
-// wrappers over the same pipeline, and every engine honors context
-// cancellation.
+// enumeration mid-class. Detect is the collect-mode wrapper over the
+// same pipeline, and every engine honors context cancellation.
 //
 // The package also provides:
 //
@@ -57,12 +56,8 @@
 //   - maintenance extensions: incremental detection (Session.Incremental
 //     / NewIncremental) and repair suggestions (SuggestRepairs).
 //
-// The free functions Validate, ValidateParallel, ValidateFragmented and
-// Satisfies predate the session API and remain as thin wrappers over a
-// one-shot session; new code should prepare a session instead (see the
-// deprecation notes on each).
-//
-// See README.md for a quickstart and DESIGN.md for the system inventory.
+// See README.md for a quickstart and the system inventory, and docs/ for
+// the snapshot format and the distributed runtime.
 package gfd
 
 import (
@@ -167,9 +162,9 @@ type (
 	// Session owns a graph and its compiled execution caches; open one
 	// with NewSession, then Prepare rule sets against it.
 	Session = session.Session
-	// Prepared is a rule set compiled against a session's graph: Detect,
-	// the pull-based Violations iterator, and the callback Stream run any
-	// engine from the prepared artifacts.
+	// Prepared is a rule set compiled against a session's graph: Detect
+	// and the pull-based Violations iterator run any engine from the
+	// prepared artifacts.
 	Prepared = session.Prepared
 
 	// Fragmentation is an n-way partition of a graph across workers.
@@ -217,9 +212,6 @@ const (
 	FaultShip      = fault.Ship
 )
 
-// NewFaultPlan returns an empty fault plan tagged with a seed; chain
-// KillWorker / DelayUnit / PanicAt and set it as Options.Inject. Testing
-// only — production leaves Options.Inject nil and pays nothing.
 // MaybeWorker turns the current process into an EngineDistributed worker
 // when it was spawned as one (recognized by environment, not flags), never
 // returning in that case. Call it first thing in main of any binary that
@@ -238,6 +230,9 @@ func WriteShards(g *Graph, n int, strategy, dir, prefix string) (string, error) 
 	return dist.WriteShards(g.Freeze(), n, s, dir, prefix)
 }
 
+// NewFaultPlan returns an empty fault plan tagged with a seed; chain
+// KillWorker / DelayUnit / PanicAt and set it as Options.Inject. Testing
+// only — production leaves Options.Inject nil and pays nothing.
 func NewFaultPlan(seed int64) *FaultPlan { return fault.NewPlan(seed) }
 
 // FaultPlanFromSeed derives a pseudo-random recoverable fault plan — the
@@ -374,83 +369,11 @@ func Implies(s *Set, f *GFD) bool { return reason.Implies(s, f) }
 // reduction optimization.
 func Reduce(s *Set) *Set { return reason.Reduce(s) }
 
-// oneShot prepares a throwaway session for the legacy free functions.
-// New/Prepare only fail on nil inputs, which the old entry points would
-// have crashed on anyway — the deprecated path keeps that contract.
-func oneShot(g *Graph, s *Set) *Prepared {
-	sess, err := session.New(g)
-	if err != nil {
-		panic(err)
-	}
-	p, err := sess.Prepare(s)
-	if err != nil {
-		panic(err)
-	}
-	return p
-}
-
-// Validate runs the sequential detector detVio and returns Vio(Σ, G).
-//
-// Deprecated: Validate builds a one-shot session per call. Callers
-// validating the same graph more than once should use NewSession /
-// Session.Prepare and Detect with EngineSequential.
-func Validate(g *Graph, s *Set) Report {
-	res, _ := oneShot(g, s).Detect(context.Background(), Options{Engine: EngineSequential})
-	return res.Violations
-}
-
-// ValidateCtx is Validate with cancellation (the sequential algorithm can
-// run for a very long time on large graphs).
-//
-// Deprecated: see Validate; Prepared.Detect takes a context for every
-// engine.
-func ValidateCtx(ctx context.Context, g *Graph, s *Set) (Report, error) {
-	return validate.DetVioCtx(ctx, g, s)
-}
-
-// Satisfies reports G |= Σ: no rule has a violation. It stops at the
-// first violation found.
-//
-// Deprecated: see Validate; with a session, breaking out of Violations
-// at the first yielded violation is the early-stopping equivalent.
-func Satisfies(g *Graph, s *Set) bool {
-	violated := false
-	_ = oneShot(g, s).Stream(context.Background(), Options{Engine: EngineSequential},
-		func(Violation) bool { violated = true; return false })
-	return !violated
-}
-
-// ValidateParallel runs repVal: parallel scalable detection over a graph
-// replicated at every worker.
-//
-// Deprecated: ValidateParallel builds a one-shot session per call.
-// Callers validating the same graph more than once should use NewSession
-// / Session.Prepare and Detect with EngineReplicated.
-func ValidateParallel(g *Graph, s *Set, opt Options) *Result {
-	opt.Engine = EngineReplicated
-	res, _ := oneShot(g, s).Detect(context.Background(), opt)
-	return res
-}
-
 // Partition fragments a graph into n fragments by node hashing, for
-// ValidateFragmented (a session caches these per graph version when
-// Options.Frag is left nil).
+// Options.Frag with EngineFragmented (a session caches these per graph
+// version when Options.Frag is left nil).
 func Partition(g *Graph, n int) *Fragmentation {
 	return fragment.Partition(g, n, fragment.Hash)
-}
-
-// ValidateFragmented runs disVal: parallel detection over a fragmented
-// graph, balancing load and minimizing simulated data shipment.
-//
-// Deprecated: ValidateFragmented builds a one-shot session per call.
-// Callers validating the same graph more than once should use NewSession
-// / Session.Prepare and Detect with EngineFragmented (Options.Frag
-// optional).
-func ValidateFragmented(g *Graph, frag *Fragmentation, s *Set, opt Options) *Result {
-	opt.Engine = EngineFragmented
-	opt.Frag = frag
-	res, _ := oneShot(g, s).Detect(context.Background(), opt)
-	return res
 }
 
 // MineConfig configures rule mining.

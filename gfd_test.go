@@ -105,10 +105,34 @@ func fig7Graph(t *testing.T) *gfd.Graph {
 	return g
 }
 
+// detect runs one engine over a fresh session on g — the reference the
+// tests below compare against is the sequential engine.
+func detect(t *testing.T, g *gfd.Graph, set *gfd.Set, opt gfd.Options) gfd.Report {
+	t.Helper()
+	sess, err := gfd.NewSession(g)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prep, err := sess.Prepare(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	res, err := prep.Detect(context.Background(), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return res.Violations
+}
+
+func sequential(t *testing.T, g *gfd.Graph, set *gfd.Set) gfd.Report {
+	t.Helper()
+	return detect(t, g, set, gfd.Options{Engine: gfd.EngineSequential})
+}
+
 func TestFig7RealLifeGFDs(t *testing.T) {
 	g := fig7Graph(t)
 	set := gfd.MustSet(gfd1(t), gfd2(t), gfd3(t))
-	vio := gfd.Validate(g, set)
+	vio := sequential(t, g, set)
 
 	byRule := make(map[string]int)
 	for _, v := range vio {
@@ -130,27 +154,26 @@ func TestFig7RealLifeGFDs(t *testing.T) {
 func TestFig7ParallelEnginesAgree(t *testing.T) {
 	g := fig7Graph(t)
 	set := gfd.MustSet(gfd1(t), gfd2(t), gfd3(t))
-	want := gfd.Validate(g, set)
+	want := sequential(t, g, set)
 
-	rep := gfd.ValidateParallel(g, set, gfd.Options{N: 4})
-	if !rep.Violations.Equal(want) {
-		t.Errorf("ValidateParallel diverges: %d vs %d", len(rep.Violations), len(want))
+	rep := detect(t, g, set, gfd.Options{Engine: gfd.EngineReplicated, N: 4})
+	if !rep.Equal(want) {
+		t.Errorf("repVal diverges: %d vs %d", len(rep), len(want))
 	}
 	frag := gfd.Partition(g, 4)
-	dis := gfd.ValidateFragmented(g, frag, set, gfd.Options{N: 4})
-	if !dis.Violations.Equal(want) {
-		t.Errorf("ValidateFragmented diverges: %d vs %d", len(dis.Violations), len(want))
+	dis := detect(t, g, set, gfd.Options{Engine: gfd.EngineFragmented, Frag: frag, N: 4})
+	if !dis.Equal(want) {
+		t.Errorf("disVal diverges: %d vs %d", len(dis), len(want))
 	}
 }
 
 // TestSessionPublicAPI drives the session lifecycle through the facade:
-// every engine constant agrees with the deprecated free functions on the
-// Fig. 7 workload, and one graph version means one freeze across all of
-// them.
+// every engine constant agrees on the Fig. 7 workload, and one graph
+// version means one freeze across all of them.
 func TestSessionPublicAPI(t *testing.T) {
 	g := fig7Graph(t)
 	set := gfd.MustSet(gfd1(t), gfd2(t), gfd3(t))
-	want := gfd.Validate(g, set)
+	want := sequential(t, g, set)
 
 	sess, err := gfd.NewSession(g)
 	if err != nil {
@@ -167,7 +190,7 @@ func TestSessionPublicAPI(t *testing.T) {
 			t.Fatalf("engine %v: %v", engine, err)
 		}
 		if !res.Violations.Equal(want) {
-			t.Errorf("engine %v diverges from Validate: %d vs %d", engine, len(res.Violations), len(want))
+			t.Errorf("engine %v diverges from detVio: %d vs %d", engine, len(res.Violations), len(want))
 		}
 	}
 	// BigDansing evaluates the same rules relationally — same answers.
@@ -179,14 +202,15 @@ func TestSessionPublicAPI(t *testing.T) {
 		t.Errorf("EngineBigDansing diverges: %d vs %d", len(res.Violations), len(want))
 	}
 	var streamed gfd.Report
-	if err := prep.Stream(ctx, gfd.Options{}, func(v gfd.Violation) bool {
+	for v, err := range prep.Violations(ctx, gfd.Options{}) {
+		if err != nil {
+			t.Fatal(err)
+		}
 		streamed = append(streamed, v)
-		return true
-	}); err != nil {
-		t.Fatal(err)
 	}
+	streamed.Sort()
 	if !streamed.Equal(want) {
-		t.Errorf("Stream diverges: %d vs %d", len(streamed), len(want))
+		t.Errorf("Violations diverges: %d vs %d", len(streamed), len(want))
 	}
 	if builds := g.SnapshotBuilds(); builds != 1 {
 		t.Errorf("snapshot builds = %d across all engines, want 1", builds)
@@ -265,8 +289,8 @@ func TestPublicIO(t *testing.T) {
 		t.Error("rules roundtrip lost rules")
 	}
 	// The reparsed rules detect the same violations.
-	want := gfd.Validate(g, set)
-	got := gfd.Validate(g, set2)
+	want := sequential(t, g, set)
+	got := sequential(t, g, set2)
 	if !got.Equal(want) {
 		t.Error("reparsed rules disagree")
 	}
@@ -292,7 +316,7 @@ gfd capital {
 	c2 := g.AddNode("city", gfd.Attrs{"val": "Melbourne"})
 	g.MustAddEdge(au, c1, "capital")
 	g.MustAddEdge(au, c2, "capital")
-	if len(gfd.Validate(g, set)) != 2 {
+	if len(sequential(t, g, set)) != 2 {
 		t.Error("parsed capital rule must flag the two-capitals country")
 	}
 }
@@ -323,7 +347,7 @@ func TestDetectRepairLoop(t *testing.T) {
 		[]gfd.CFDCondition{{Attr: "city", Value: "Edi"}})
 	set := gfd.MustSet(rule)
 
-	vio := gfd.Validate(g, set)
+	vio := sequential(t, g, set)
 	if len(vio) != 1 {
 		t.Fatalf("violations = %d", len(vio))
 	}
@@ -334,7 +358,7 @@ func TestDetectRepairLoop(t *testing.T) {
 	if n := gfd.ApplyRepairs(g, sugg, 0.9); n != 1 {
 		t.Fatalf("applied = %d", n)
 	}
-	if !gfd.Satisfies(g, set) {
-		t.Error("graph must satisfy Σ after repair")
+	if vio := sequential(t, g, set); len(vio) != 0 {
+		t.Errorf("graph must satisfy Σ after repair; %d violations remain", len(vio))
 	}
 }

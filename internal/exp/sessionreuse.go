@@ -61,7 +61,7 @@ func SessionReuse(c Config, rounds int) Table {
 	prepareMS := time.Since(prepStart).Seconds() * 1000
 
 	// Cold path: each round validates a fresh clone of the same graph
-	// through the legacy free function, as a per-request server would,
+	// through a one-shot repVal call, as a per-request server would,
 	// re-paying freeze, reduction, grouping and lowering every time.
 	clones := make([]*graph.Graph, rounds)
 	for i := range clones {

@@ -151,7 +151,7 @@ func TestDuplicateEdgeSetSemantics(t *testing.T) {
 
 // TestConcurrentFreeze covers the read-only concurrency contract: parallel
 // Freeze/Enumerate on a shared, unmutated graph (as concurrent
-// gfd.Validate calls would do) must be race-free and agree.
+// sessions over one graph do) must be race-free and agree.
 func TestConcurrentFreeze(t *testing.T) {
 	g := gen.YAGO2Like(gen.DatasetConfig{Scale: 40, Seed: 3})
 	q := starPattern()

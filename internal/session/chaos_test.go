@@ -1,4 +1,4 @@
-// Chaos coverage of the session facade: Prepared.Stream and
+// Chaos coverage of the session facade: Prepared.Violations and
 // Prepared.Detect must keep the runtime's failure semantics — exactly-once
 // delivery under retries, voluntary early stop, honest partial errors —
 // when driven through the public lifecycle rather than the engine
@@ -44,9 +44,8 @@ func chaosWorkload(t *testing.T) (*session.Prepared, *validate.Result) {
 
 // TestStreamUnderFaults: streamed violation sets under seed-derived
 // recoverable fault plans equal the fault-free Detect report (exactly-once
-// across retries), and an early stop (yield returning false) under a
-// worker kill terminates cleanly — yield is never called again, no error
-// surfaces, and no goroutine is left behind.
+// across retries), and an early break under a worker kill terminates
+// cleanly — no error surfaces and no goroutine is left behind.
 func TestStreamUnderFaults(t *testing.T) {
 	ctx := context.Background()
 	prep, base := chaosWorkload(t)
@@ -55,13 +54,11 @@ func TestStreamUnderFaults(t *testing.T) {
 	for seed := int64(1); seed <= 4; seed++ {
 		plan := fault.FromSeed(seed, 4, base.Units)
 		var got validate.Report
-		err := prep.Stream(ctx, validate.Options{Engine: validate.EngineReplicated, N: 4, Inject: plan},
-			func(v validate.Violation) bool {
-				got = append(got, v)
-				return true
-			})
-		if err != nil {
-			t.Fatalf("%v: %v", plan, err)
+		for v, err := range prep.Violations(ctx, validate.Options{Engine: validate.EngineReplicated, N: 4, Inject: plan}) {
+			if err != nil {
+				t.Fatalf("%v: %v", plan, err)
+			}
+			got = append(got, v)
 		}
 		got.Sort()
 		if !got.Equal(base.Violations) {
@@ -70,17 +67,11 @@ func TestStreamUnderFaults(t *testing.T) {
 		}
 
 		stopPlan := fault.NewPlan(seed).KillWorker(int(seed)%4, 0)
-		calls := 0
-		err = prep.Stream(ctx, validate.Options{Engine: validate.EngineReplicated, N: 4, Inject: stopPlan},
-			func(validate.Violation) bool {
-				calls++
-				return false
-			})
-		if err != nil {
-			t.Fatalf("%v: early-stopped stream returned %v", stopPlan, err)
-		}
-		if calls != 1 {
-			t.Fatalf("%v: yield called %d times after stopping", stopPlan, calls)
+		for _, err := range prep.Violations(ctx, validate.Options{Engine: validate.EngineReplicated, N: 4, Inject: stopPlan}) {
+			if err != nil {
+				t.Fatalf("%v: early-stopped stream returned %v", stopPlan, err)
+			}
+			break
 		}
 	}
 

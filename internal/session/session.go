@@ -10,7 +10,7 @@
 //	sess, _ := session.New(g)
 //	prep, _ := sess.Prepare(set) // freeze + lower, once
 //	res, _ := prep.Detect(ctx, validate.Options{Engine: validate.EngineReplicated, N: 16})
-//	... // more Detect / Stream calls: no freeze, no re-lowering
+//	... // more Detect / Violations calls: no freeze, no re-lowering
 //
 // Freeze, implication-based workload reduction, multi-query grouping,
 // pattern compilation and literal-program lowering are all paid once per
@@ -28,7 +28,7 @@
 // exceeds a fraction of the base size, the session compacts: one fresh
 // freeze absorbs the patches, amortizing O(|V|+|E|) over Ω(|G|) updates.
 //
-// Detect and Stream are safe for concurrent use while the graph is
+// Detect and Violations are safe for concurrent use while the graph is
 // unmutated, like the engines themselves. Mutation concurrent with
 // detection is not safe — the same contract as Graph.Freeze.
 package session
@@ -91,7 +91,7 @@ func (s *Session) Snapshot() *graph.Snapshot { return s.g.Freeze() }
 // option variant (eagerly deriving them here would tax sequential-only
 // callers with reasoning work that engine never reads — use WarmEngine to
 // front-load a specific variant). The returned Prepared serves any number
-// of Detect / Stream calls and re-prepares itself (once per new graph
+// of Detect / Violations calls and re-prepares itself (once per new graph
 // version) when the graph mutates.
 func (s *Session) Prepare(set *core.Set) (*Prepared, error) {
 	if set == nil {
@@ -335,29 +335,6 @@ func (p *Prepared) ViolationsResult(ctx context.Context, opt validate.Options, o
 			yield(validate.Violation{}, o.err)
 		}
 	}
-}
-
-// Stream is the callback form of Violations: yield receives each
-// violation as it is found and detection stops early when it returns
-// false. It is a thin wrapper over the same pull-based pipeline. The
-// result instrumentation is discarded; use Detect or ViolationsResult
-// when it is needed.
-//
-// Deprecated: range over Violations instead — same pipeline, same
-// early-stop semantics, without inverting control.
-func (p *Prepared) Stream(ctx context.Context, opt validate.Options, yield func(validate.Violation) bool) error {
-	if yield == nil {
-		return errors.New("session: nil stream yield")
-	}
-	for v, err := range p.Violations(ctx, opt) {
-		if err != nil {
-			return err
-		}
-		if !yield(v) {
-			return nil
-		}
-	}
-	return nil
 }
 
 func (p *Prepared) run(ctx context.Context, opt validate.Options, sink validate.Sink) (*validate.Result, error) {

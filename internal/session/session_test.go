@@ -238,63 +238,6 @@ func TestMutationBetweenDetectsRefreezes(t *testing.T) {
 	}
 }
 
-// TestStreamMatchesDetect: streaming delivers exactly the violation set
-// Detect collects, for each engine.
-func TestStreamMatchesDetect(t *testing.T) {
-	ctx := context.Background()
-	g, set := minedWorkload(t, 5)
-	prep, err := mustOpen(t, g).Prepare(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, engine := range []validate.Engine{
-		validate.EngineSequential,
-		validate.EngineReplicated,
-		validate.EngineFragmented,
-		validate.EngineGCFD,
-		validate.EngineBigDansing,
-	} {
-		opt := validate.Options{Engine: engine, N: 3}
-		want, err := prep.Detect(ctx, opt)
-		if err != nil {
-			t.Fatal(err)
-		}
-		var got validate.Report
-		if err := prep.Stream(ctx, opt, func(v validate.Violation) bool {
-			got = append(got, v)
-			return true
-		}); err != nil {
-			t.Fatalf("%v: stream error: %v", engine, err)
-		}
-		if !got.Equal(want.Violations) {
-			t.Errorf("%v: stream delivered %d violations, Detect %d", engine, len(got), len(want.Violations))
-		}
-	}
-}
-
-// TestStreamEarlyStop: a yield returning false stops detection without an
-// error, for the parallel engine too.
-func TestStreamEarlyStop(t *testing.T) {
-	ctx := context.Background()
-	g, set, _ := capitalWorkload() // deterministic: exactly 2 violations
-	prep, err := mustOpen(t, g).Prepare(set)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, engine := range []validate.Engine{validate.EngineSequential, validate.EngineReplicated} {
-		seen := 0
-		if err := prep.Stream(ctx, validate.Options{Engine: engine, N: 3}, func(validate.Violation) bool {
-			seen++
-			return false
-		}); err != nil {
-			t.Fatalf("%v: early stop returned error %v", engine, err)
-		}
-		if seen != 1 {
-			t.Errorf("%v: yield called %d times after returning false", engine, seen)
-		}
-	}
-}
-
 // TestPrepareNilSet: the one Prepare error path.
 func TestPrepareNilSet(t *testing.T) {
 	g, _, _ := capitalWorkload()

@@ -17,7 +17,7 @@ import (
 // assignment, all optimizations on.
 type Options struct {
 	// Engine selects the algorithm a unified entry point (Prepared.Detect
-	// / Prepared.Stream) runs; the direct engine functions ignore it.
+	// / Prepared.Violations) runs; the direct engine functions ignore it.
 	// EngineAuto resolves to EngineReplicated.
 	Engine Engine
 	// Frag supplies the fragmentation for EngineFragmented. When nil the

@@ -9,13 +9,13 @@ import (
 // Sink is the single violation-consumption abstraction every engine emits
 // through: detVio, repVal, disVal and the two baselines all deliver each
 // violation to Emit as it is found, fused with match enumeration — no
-// engine materializes a per-unit match set first. The three execution
-// modes of the session API are three sinks over one engine code path:
+// engine materializes a per-unit match set first. The execution modes
+// are sinks over one engine code path:
 //
 //   - CollectSink — Detect: per-worker shards appended lock-free, merged
 //     and sorted into the Report after the run;
-//   - CallbackSink — the legacy Stream callback: emissions serialized
-//     onto one user function under a mutex;
+//   - CallbackSink — a plain callback (Satisfies, direct engine callers):
+//     emissions serialized onto one function under a mutex;
 //   - PipeSink — the pull-based iterator (Prepared.Violations): each
 //     worker owns a bounded lane, a fan-in merger feeds the consumer, and
 //     a full lane applies backpressure to that worker alone.
