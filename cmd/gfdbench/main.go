@@ -200,7 +200,7 @@ func main() {
 			t := exp.Freeze(base("yago2"), []int{2, 4})
 			fmt.Println(t)
 			if s, ok := exp.FreezeSpeedup(t, 4); ok {
-				fmt.Printf("parallel speedup at 4 workers: %.2fx (GOMAXPROCS-bound; see GFD_FREEZE_WORKERS)\n\n", s)
+				fmt.Printf("parallel speedup at 4 workers: %.2fx (GOMAXPROCS-bound; Freeze itself builds with GOMAXPROCS workers)\n\n", s)
 			}
 			return t
 		},

@@ -8,22 +8,21 @@ import (
 
 // TestFreezeShardPanicFallsBackSerial: a shard goroutine panicking inside
 // the parallel freeze pipeline must not crash the process or corrupt the
-// snapshot — Freeze falls back to the serial builder, produces the exact
-// snapshot the parallel path would have, and the FreezeFallbacks probe
-// records the degradation.
+// snapshot — Freeze's builder falls back to the serial one, produces the
+// exact snapshot the parallel path would have, and the FreezeFallbacks
+// probe records the degradation. The builder runs with an explicit worker
+// count, so the parallel path is taken whatever GOMAXPROCS is.
 func TestFreezeShardPanicFallsBackSerial(t *testing.T) {
 	g := randomFreezeGraph(3, 40000)
 	if g.Size() < parallelFreezeMinSize {
 		t.Fatalf("graph too small for the parallel freeze path: size %d", g.Size())
 	}
-	SetFreezeWorkers(4)
-	defer SetFreezeWorkers(0)
 	inj := fault.NewPlan(7).PanicAt(fault.FreezeShard, 1).Arm(4)
 	SetFreezeInjector(inj)
 	defer SetFreezeInjector(nil)
 
 	base := FreezeFallbacks()
-	got := g.Freeze()
+	got := buildSnapshotAuto(g, 4)
 	if inj.Fired() != 1 {
 		t.Fatalf("shard fault never fired (fired = %d); the fallback was not exercised", inj.Fired())
 	}

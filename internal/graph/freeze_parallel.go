@@ -1,10 +1,7 @@
 package graph
 
 import (
-	"os"
-	"runtime"
 	"sort"
-	"strconv"
 	"sync"
 	"sync/atomic"
 
@@ -30,40 +27,6 @@ import (
 //
 // The serial builder remains the GOMAXPROCS==1 / small-graph path.
 
-var (
-	freezeWorkersOverride atomic.Int32
-	freezeWorkersEnv      int
-	freezeWorkersEnvOnce  sync.Once
-)
-
-// SetFreezeWorkers overrides the number of workers Freeze builds snapshots
-// with; n <= 0 restores the default resolution (GFD_FREEZE_WORKERS, then
-// GOMAXPROCS). It applies process-wide to subsequent builds.
-func SetFreezeWorkers(n int) {
-	if n < 0 {
-		n = 0
-	}
-	freezeWorkersOverride.Store(int32(n))
-}
-
-// FreezeWorkers resolves the effective freeze worker count:
-// SetFreezeWorkers override, else the GFD_FREEZE_WORKERS environment
-// variable, else GOMAXPROCS.
-func FreezeWorkers() int {
-	if n := freezeWorkersOverride.Load(); n > 0 {
-		return int(n)
-	}
-	freezeWorkersEnvOnce.Do(func() {
-		if v, err := strconv.Atoi(os.Getenv("GFD_FREEZE_WORKERS")); err == nil && v > 0 {
-			freezeWorkersEnv = v
-		}
-	})
-	if freezeWorkersEnv > 0 {
-		return freezeWorkersEnv
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
 // parallelFreezeMinSize is the |V|+|E| below which Freeze always takes the
 // serial builder: goroutine fan-out and per-shard map merging cost more
 // than the build itself on small graphs.
@@ -86,15 +49,15 @@ func FreezeFallbacks() int { return int(freezeFallbacks.Load()) }
 // nil-check no-op.
 func SetFreezeInjector(inj *fault.Injector) { freezeInjector.Store(inj) }
 
-// buildSnapshotAuto is the builder Freeze dispatches to: parallel when
-// more than one worker is resolved and the graph is large enough to
-// amortize the fan-out, serial otherwise. A panic anywhere in the parallel
-// pipeline (a shard goroutine or the merge code between phases) is
-// recovered here and the build falls back to the serial builder: freezing
-// degrades to slow before it degrades to failed.
-func buildSnapshotAuto(g *Graph) *Snapshot {
-	if w := FreezeWorkers(); w > 1 && g.Size() >= parallelFreezeMinSize {
-		if s := tryBuildParallel(g, w); s != nil {
+// buildSnapshotAuto is the builder Freeze dispatches to (with GOMAXPROCS
+// workers): parallel when there is more than one worker and the graph is
+// large enough to amortize the fan-out, serial otherwise. A panic anywhere
+// in the parallel pipeline (a shard goroutine or the merge code between
+// phases) is recovered here and the build falls back to the serial
+// builder: freezing degrades to slow before it degrades to failed.
+func buildSnapshotAuto(g *Graph, workers int) *Snapshot {
+	if workers > 1 && g.Size() >= parallelFreezeMinSize {
+		if s := tryBuildParallel(g, workers); s != nil {
 			return s
 		}
 		freezeFallbacks.Add(1)

@@ -144,21 +144,6 @@ func TestConcurrentFreezeSharesOneBuild(t *testing.T) {
 	}
 }
 
-// TestSetFreezeWorkersOverride pins the knob precedence: an explicit
-// override wins over the environment/GOMAXPROCS default, and resetting it
-// restores the default resolution.
-func TestSetFreezeWorkersOverride(t *testing.T) {
-	defer SetFreezeWorkers(0)
-	SetFreezeWorkers(3)
-	if got := FreezeWorkers(); got != 3 {
-		t.Fatalf("FreezeWorkers after SetFreezeWorkers(3) = %d", got)
-	}
-	SetFreezeWorkers(0)
-	if got := FreezeWorkers(); got < 1 {
-		t.Fatalf("default FreezeWorkers = %d, want >= 1", got)
-	}
-}
-
 // BenchmarkBuildSnapshot prices the freeze pipeline serial vs parallel on
 // one mid-sized graph (the gfdbench -exp freeze sweep covers sizes and
 // worker counts; this is the in-tree smoke).

@@ -1,6 +1,7 @@
 package graph
 
 import (
+	"runtime"
 	"sort"
 	"sync"
 )
@@ -61,7 +62,7 @@ type Snapshot struct {
 // Freeze returns the CSR snapshot of g, building it on first use and
 // whenever the graph has been mutated since the last call; otherwise the
 // cached snapshot is returned. O(|V| + |E| log d) to build (sharded across
-// FreezeWorkers goroutines for large graphs, serial under GOMAXPROCS==1 or
+// GOMAXPROCS goroutines for large graphs, serial under GOMAXPROCS==1 or
 // below the size floor), O(1) when cached. Concurrent Freeze calls on an
 // unmutated graph are safe and share one snapshot: the first caller builds
 // while later callers wait on the build, not on the cache mutex, so a long
@@ -110,7 +111,7 @@ func (g *Graph) Freeze() *Snapshot {
 		g.snapMu.Unlock()
 		close(b.done)
 	}()
-	s = buildSnapshotAuto(g)
+	s = buildSnapshotAuto(g, runtime.GOMAXPROCS(0))
 	return s
 }
 
