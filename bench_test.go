@@ -27,7 +27,8 @@ import (
 
 // benchConfig is the shared workload scale for the figure benchmarks:
 // large enough that parallelism wins, small enough that the whole harness
-// finishes in minutes (see DESIGN.md §4 on scale substitution).
+// finishes in minutes (see README.md, "Simulated cluster and scaled-down
+// datasets").
 func benchConfig(dataset string) exp.Config {
 	return exp.Config{Dataset: dataset, Scale: 250, Rules: 8, PatternSize: 4, TwoCompFrac: 0.3, Seed: 42}
 }
@@ -255,7 +256,7 @@ func BenchmarkSessionReuse(b *testing.B) {
 	})
 }
 
-// --- Ablation benchmarks for the design choices DESIGN.md calls out ------
+// --- Ablation benchmarks for the engines' optimizations (README.md) -------
 
 // BenchmarkAblationShipping compares disVal's adaptive prefetch/partial
 // strategy selection against forcing prefetch for every unit.

@@ -13,7 +13,8 @@
 // BENCH_<exp>.json file (config + result rows) so perf trajectories can be
 // tracked across commits.
 //
-// See EXPERIMENTS.md for the recorded paper-vs-measured comparison.
+// BENCH_baselines/ holds the committed measured tables the CI gate diffs
+// against.
 package main
 
 import (

@@ -56,7 +56,7 @@
 //   - maintenance extensions: incremental detection (Session.Incremental
 //     / NewIncremental) and repair suggestions (SuggestRepairs).
 //
-// See README.md for a quickstart and the system inventory, and docs/ for
+// See README.md for a quickstart and the package layout, and docs/ for
 // the snapshot format and the distributed runtime.
 package gfd
 

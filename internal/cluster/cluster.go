@@ -1,9 +1,10 @@
 // Package cluster is the distributed-runtime substrate for the parallel
 // validation algorithms of Section 6. The paper evaluated on 20 Amazon EC2
 // instances; this package substitutes an in-process simulated cluster
-// (see DESIGN.md §4): a coordinator plus n workers running as goroutines,
-// with every cross-worker data movement routed through a byte-counting
-// message layer and charged against a configurable network cost model.
+// (see README.md, "Simulated cluster and scaled-down datasets"): a
+// coordinator plus n workers running as goroutines, with every
+// cross-worker data movement routed through a byte-counting message layer
+// and charged against a configurable network cost model.
 //
 // Computation parallelism is real (goroutines across cores); communication
 // *cost* is modeled exactly as the paper's CC(w) = c_s·|M|, so the
@@ -154,7 +155,8 @@ func (c *Cluster) Run(task func(worker int)) error {
 // physical core count so busy times measure actual compute rather than
 // scheduler contention; the caller derives the modeled parallel span as
 // the maximum busy time. This is what lets the simulation report faithful
-// n-worker scaling on a host with fewer cores than n (see DESIGN.md §4).
+// n-worker scaling on a host with fewer cores than n (see README.md,
+// "Simulated cluster and scaled-down datasets").
 //
 // Panic isolation matches Run: a dying worker is recovered into a
 // *WorkerError while the others drain, and the joined errors are returned

@@ -1,9 +1,10 @@
 // Package gen provides the data substrate of the evaluation (Section 7):
 // a synthetic power-law graph generator, parameter-matched stand-ins for
-// the paper's real-life datasets (DBpedia, YAGO2, Pokec; see DESIGN.md §4
-// for the substitution rationale), a GFD generator that mines frequent
-// features and assembles rules, and noise injection with ground truth for
-// the accuracy experiment (Exp-5).
+// the paper's real-life datasets (DBpedia, YAGO2, Pokec; see README.md,
+// "Simulated cluster and scaled-down datasets", for the substitution
+// rationale), a GFD generator that mines frequent features and assembles
+// rules, and noise injection with ground truth for the accuracy experiment
+// (Exp-5).
 package gen
 
 import (

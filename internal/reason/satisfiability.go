@@ -31,8 +31,8 @@ func (c *Conflict) Error() string {
 // derived from Σ is conflicting. Host patterns Q range over the patterns of
 // Σ itself: under the paper's size bound (|Q| at most the largest pattern
 // in Σ), a host that embeds the largest participating pattern is
-// isomorphic to it, so rule patterns are the canonical hosts (see
-// DESIGN.md). Embeddings are exact — a concrete label never maps onto a
+// isomorphic to it, so rule patterns are the canonical hosts. Embeddings
+// are exact — a concrete label never maps onto a
 // wildcard host node — because an embedded GFD must apply to *every* match
 // of the host for a conflict to contradict the required match.
 func Satisfiable(s *core.Set) (bool, *Conflict) {
