@@ -297,11 +297,7 @@ func (p *Prepared) ViolationsResult(ctx context.Context, opt validate.Options, o
 		if nopt.Engine.Resolve() == validate.EngineFragmented {
 			// The fragmented engine clamps its worker count to the
 			// fragmentation's; size the lanes off the same number.
-			frag := nopt.Frag
-			if frag == nil {
-				frag = p.sess.Fragmentation(nopt.N)
-			}
-			lanes = frag.N
+			lanes = p.fragmentation(nopt).N
 		}
 		pipe := validate.NewPipeSink(runCtx, lanes, nopt.StreamBuffer)
 		type outcome struct {
@@ -347,11 +343,7 @@ func (p *Prepared) run(ctx context.Context, opt validate.Options, sink validate.
 	case validate.EngineReplicated:
 		return validate.RepValB(ctx, b, opt, sink)
 	case validate.EngineFragmented:
-		frag := opt.Frag
-		if frag == nil {
-			frag = p.sess.Fragmentation(opt.Normalized().N)
-		}
-		return validate.DisValB(ctx, b, frag, opt, sink)
+		return validate.DisValB(ctx, b, p.fragmentation(opt), opt, sink)
 	case validate.EngineGCFD:
 		rules, _ := p.GCFDRules()
 		n := opt.Normalized().N
@@ -368,6 +360,15 @@ func (p *Prepared) run(ctx context.Context, opt validate.Options, sink validate.
 		return dist.DetectB(ctx, b, opt, sink)
 	}
 	return nil, errors.New("session: unknown engine")
+}
+
+// fragmentation resolves the fragmented engine's partition: Options.Frag
+// when set, else the session's cached hash partition into N fragments.
+func (p *Prepared) fragmentation(opt validate.Options) *fragment.Fragmentation {
+	if opt.Frag != nil {
+		return opt.Frag
+	}
+	return p.sess.Fragmentation(opt.Normalized().N)
 }
 
 // single wraps the engines that do not build their own Result (sequential
@@ -405,9 +406,7 @@ func (p *Prepared) WarmEngine(opt validate.Options) {
 		b.Warm(opt)
 	case validate.EngineFragmented:
 		b.Warm(opt)
-		if opt.Frag == nil {
-			p.sess.Fragmentation(opt.Normalized().N)
-		}
+		p.fragmentation(opt)
 	case validate.EngineGCFD:
 		p.GCFDRules()
 	case validate.EngineBigDansing:

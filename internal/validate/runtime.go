@@ -96,11 +96,11 @@ func (e *PartialError) Unwrap() []error {
 // completeness census, the recovery-round backoff and LPT rebalancing over
 // live workers — exists once, whatever transport runs the units.
 type Ledger struct {
-	States   []UnitState
-	Failures []UnitFailure
-	Deaths   int // workers lost
-	Rounds   int // recovery rounds opened
+	States []UnitState
+	Deaths int // workers lost
 
+	failures    []UnitFailure
+	rounds      int // recovery rounds opened
 	maxAttempts int
 	backoff     time.Duration
 	group       func(ui int) int // rule group of a unit, for failure records
@@ -114,7 +114,7 @@ type UnitState struct {
 	Attempts int
 	Emitted  int // violations already delivered by earlier attempts; retries skip these
 	Done     bool
-	Failed   bool // already recorded in Failures; later sweeps skip it
+	Failed   bool // already recorded as a failure; later sweeps skip it
 	LastErr  error
 }
 
@@ -145,7 +145,7 @@ func (l *Ledger) Fail(ui int) bool {
 	if err == nil {
 		err = fmt.Errorf("unit %d: never started: %w", ui, errAllWorkersDead)
 	}
-	l.Failures = append(l.Failures, UnitFailure{Unit: ui, Group: l.group(ui), Attempts: st.Attempts, Err: err})
+	l.failures = append(l.failures, UnitFailure{Unit: ui, Group: l.group(ui), Attempts: st.Attempts, Err: err})
 	return true
 }
 
@@ -183,11 +183,11 @@ func (l *Ledger) FailUnresolved() int {
 // NextRound opens a recovery round and sleeps its capped exponential
 // backoff, returning false if the context died while waiting.
 func (l *Ledger) NextRound(ctx context.Context) bool {
-	l.Rounds++
+	l.rounds++
 	if l.backoff <= 0 {
 		return ctx.Err() == nil
 	}
-	factor := min(1<<(l.Rounds-1), maxBackoffFactor)
+	factor := min(1<<(l.rounds-1), maxBackoffFactor)
 	t := time.NewTimer(l.backoff * time.Duration(factor))
 	defer t.Stop()
 	select {
@@ -217,7 +217,7 @@ func (l *Ledger) Rebalance(pending []int, live int) [][]int {
 
 // Census counts the run's completeness from the unit states.
 func (l *Ledger) Census() Completeness {
-	comp := Completeness{Units: len(l.States), Failed: len(l.Failures), WorkerDeaths: l.Deaths, RecoveryRounds: l.Rounds}
+	comp := Completeness{Units: len(l.States), Failed: len(l.failures), WorkerDeaths: l.Deaths, RecoveryRounds: l.rounds}
 	for i := range l.States {
 		st := &l.States[i]
 		if st.Attempts > 0 {
@@ -235,10 +235,10 @@ func (l *Ledger) Census() Completeness {
 
 // Err is the run's *PartialError, or nil when no unit failed.
 func (l *Ledger) Err() error {
-	if len(l.Failures) == 0 {
+	if len(l.failures) == 0 {
 		return nil
 	}
-	return &PartialError{Failures: l.Failures}
+	return &PartialError{Failures: l.failures}
 }
 
 // detectRun is one fault-tolerant detection phase: the shared inputs plus
