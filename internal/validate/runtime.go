@@ -14,7 +14,8 @@ import (
 )
 
 // This file is the fault-tolerant execution runtime shared by repVal and
-// disVal. The paper's engines ran on a 20-node EC2 cluster where worker
+// disVal; its per-unit retry ledger also drives the multi-process
+// coordinator (internal/dist). The paper's engines ran on a 20-node EC2 cluster where worker
 // loss and stragglers are the steady state; the detection superstep here
 // gives the simulated cluster the same failure semantics:
 //
