@@ -394,10 +394,7 @@ func (r *coordRun) handle(ev event) {
 			return
 		}
 		r.cl.Ship(ev.w, cluster.Coordinator, frameOverhead+int64(len(ev.payload)))
-		st := &r.led.States[m.unit]
-		if !st.Done && !st.Failed {
-			st.Done = true
-			st.LastErr = nil
+		if r.led.Succeed(m.unit) {
 			r.resolved++
 		}
 		p.busy += m.wall
@@ -596,15 +593,7 @@ func (r *coordRun) liveCount() int {
 // progress reports whether the run achieved anything a fallback would
 // duplicate: a completed unit or a delivered violation.
 func (r *coordRun) progress() bool {
-	if r.anyEmit {
-		return true
-	}
-	for i := range r.led.States {
-		if r.led.States[i].Done {
-			return true
-		}
-	}
-	return false
+	return r.anyEmit || r.led.Census().Succeeded > 0
 }
 
 // shutdown drains the fleet: SHUTDOWN to every live worker, wait for each

@@ -45,7 +45,8 @@ func chaosWorkload(t *testing.T) (*session.Prepared, *validate.Result) {
 // TestStreamUnderFaults: streamed violation sets under seed-derived
 // recoverable fault plans equal the fault-free Detect report (exactly-once
 // across retries), and an early break under a worker kill terminates
-// cleanly — no error surfaces and no goroutine is left behind.
+// cleanly — exactly one violation arrives, no error surfaces, and no
+// goroutine is left behind.
 func TestStreamUnderFaults(t *testing.T) {
 	ctx := context.Background()
 	prep, base := chaosWorkload(t)
@@ -67,11 +68,16 @@ func TestStreamUnderFaults(t *testing.T) {
 		}
 
 		stopPlan := fault.NewPlan(seed).KillWorker(int(seed)%4, 0)
+		seen := 0
 		for _, err := range prep.Violations(ctx, validate.Options{Engine: validate.EngineReplicated, N: 4, Inject: stopPlan}) {
 			if err != nil {
 				t.Fatalf("%v: early-stopped stream returned %v", stopPlan, err)
 			}
+			seen++
 			break
+		}
+		if seen != 1 {
+			t.Fatalf("%v: saw %d violations after breaking at the first", stopPlan, seen)
 		}
 	}
 

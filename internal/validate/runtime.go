@@ -134,6 +134,18 @@ func NewLedger(units int, opt Options, group, weight func(ui int) int) *Ledger {
 // Exhausted reports whether unit ui has used up its attempt budget.
 func (l *Ledger) Exhausted(ui int) bool { return l.States[ui].Attempts >= l.maxAttempts }
 
+// Succeed marks unit ui done and clears its last error; it reports
+// whether this call resolved it (false for a unit already done or failed).
+func (l *Ledger) Succeed(ui int) bool {
+	st := &l.States[ui]
+	if st.Done || st.Failed {
+		return false
+	}
+	st.Done = true
+	st.LastErr = nil
+	return true
+}
+
 // Fail abandons unit ui, recording its failure once; it reports whether
 // this call recorded it (false for a unit already done or failed).
 func (l *Ledger) Fail(ui int) bool {
@@ -413,8 +425,7 @@ func (r *detectRun) worker(w int, mine []int) {
 			r.mu.Unlock()
 			return
 		}
-		st.Done = true
-		st.LastErr = nil
+		r.led.Succeed(ui)
 	}
 }
 
