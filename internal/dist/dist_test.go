@@ -233,6 +233,137 @@ func TestDistUnrecoverablePartial(t *testing.T) {
 	}
 }
 
+// distPlan returns the memoized plan DetectB runs under opt, so a test can
+// name the units a worker receives and the order it runs them in.
+func distPlan(t *testing.T, f *fixture, opt validate.Options) *validate.DistPlan {
+	t.Helper()
+	opt = opt.Normalized()
+	opt.N = fxWorkers
+	plan, err := f.b.DistPlan(cluster.New(opt.N, opt.Cost), opt)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return plan
+}
+
+// TestDistKillMidWindowChargesOnlyRunningUnit: a process killed at a unit
+// with later units of its window already shipped behind it charges the
+// attempt to the running unit alone. With retries and respawn disabled,
+// that unit is the only failure; the units queued behind it go to the
+// survivors uncharged and succeed.
+func TestDistKillMidWindowChargesOnlyRunningUnit(t *testing.T) {
+	f := setup(t)
+	const w, k = 1, 5
+	plan := fault.NewPlan(5).KillProcess(w, k)
+	opt := distOpt(f, plan)
+	opt.Retry = validate.Retry{Max: -1}
+	opt.Dist.MaxRespawns = -1
+	assign := distPlan(t, f, opt).Assign[w]
+	if len(assign) <= k+1 {
+		t.Fatalf("worker %d runs %d units; no unit would wait behind unit #%d", w, len(assign), k)
+	}
+	killed := assign[k]
+	res, err := DetectB(context.Background(), f.b, opt, nil)
+	var pe *validate.PartialError
+	if !errors.As(err, &pe) || len(pe.Failures) != 1 {
+		t.Fatalf("%v: err = %v, want *PartialError with exactly 1 failure", plan, err)
+	}
+	if fl := pe.Failures[0]; fl.Unit != killed || fl.Attempts != 1 {
+		t.Fatalf("%v: failure is unit %d after %d attempts, want unit %d after 1", plan, fl.Unit, fl.Attempts, killed)
+	}
+	c := res.Completeness
+	if c.WorkerDeaths != 1 || c.Failed != 1 || c.Succeeded != c.Units-1 || c.Retries != 0 {
+		t.Fatalf("%v: census wrong for one mid-window kill: %+v", plan, c)
+	}
+	seen := make(map[string]bool, len(f.base))
+	for _, v := range f.base {
+		seen[fmt.Sprint(v.Rule, v.Match)] = true
+	}
+	for _, v := range res.Violations {
+		if !seen[fmt.Sprint(v.Rule, v.Match)] {
+			t.Fatalf("%v: partial run reported a violation absent from the fault-free set: %v", plan, v)
+		}
+	}
+}
+
+// TestDistUnitDeadlineStraggler: Options.UnitDeadline on the dist path
+// is measured from when a unit becomes the head of its worker's window,
+// not from when its batch was shipped.
+//   - Slow units that each finish inside the deadline, back to back, kill
+//     nothing although their sum exceeds it.
+//   - A straggler that is not the head when shipped blows the deadline
+//     once it runs; the coordinator kills its process and the run
+//     recovers to the fault-free set. The units that finished ahead of
+//     it are never charged again: every retry of the run is the
+//     straggler's, one per death. (A reassigned straggler may stall again
+//     on another original process, whose plan still holds the delay;
+//     Retry.Max covers one stall per process.)
+func TestDistUnitDeadlineStraggler(t *testing.T) {
+	f := setup(t)
+	const deadline = 750 * time.Millisecond
+	opt := distOpt(f, nil)
+	opt.UnitDeadline = deadline
+	opt.Retry = validate.Retry{Max: fxWorkers}
+	const w, k = 0, 4
+	assign := distPlan(t, f, opt).Assign[w]
+	if len(assign) <= k {
+		t.Fatalf("worker %d runs %d units, want more than %d", w, len(assign), k)
+	}
+	run := func(t *testing.T, plan *fault.Plan) validate.Completeness {
+		t.Helper()
+		opt.Inject = plan
+		res, err := DetectB(context.Background(), f.b, opt, nil)
+		if err != nil {
+			t.Fatalf("%v: %v", plan, err)
+		}
+		if !res.Violations.Equal(f.base) {
+			t.Fatalf("%v: violation set diverged (%d vs %d)", plan, len(res.Violations), len(f.base))
+		}
+		c := res.Completeness
+		if !c.Complete() || c.Failed != 0 || c.Attempted != c.Units {
+			t.Fatalf("%v: census not complete: %+v", plan, c)
+		}
+		return c
+	}
+	t.Run("slow-within-deadline", func(t *testing.T) {
+		plan := fault.NewPlan(20)
+		for _, ui := range assign[1:k] {
+			plan.DelayUnit(ui, deadline*2/5)
+		}
+		if c := run(t, plan); c.WorkerDeaths != 0 || c.Retries != 0 {
+			t.Fatalf("%v: units each inside the deadline were killed: %+v", plan, c)
+		}
+	})
+	t.Run("straggler", func(t *testing.T) {
+		plan := fault.NewPlan(21).DelayUnit(assign[k], 5*time.Second)
+		if c := run(t, plan); c.WorkerDeaths == 0 || c.Retries != c.WorkerDeaths {
+			t.Fatalf("%v: want the deadline to kill and each death to charge only the straggler: %+v", plan, c)
+		}
+	})
+}
+
+// TestDistFramesDeterministic: a refill depends only on the worker's own
+// DONE count, so two fault-free runs exchange exactly the same frames —
+// the count the benchmark checks for drift — and batching keeps it well
+// under the two frames per unit of one ASSIGN + DONE round trip each.
+func TestDistFramesDeterministic(t *testing.T) {
+	f := setup(t)
+	var msgs [2]int64
+	for i := range msgs {
+		res, err := DetectB(context.Background(), f.b, distOpt(f, nil), nil)
+		if err != nil {
+			t.Fatal(err)
+		}
+		msgs[i] = res.Messages
+		if msgs[i] >= 2*int64(res.Units) {
+			t.Fatalf("run %d: %d messages for %d units, want fewer than two per unit", i, msgs[i], res.Units)
+		}
+	}
+	if msgs[0] != msgs[1] {
+		t.Fatalf("fault-free runs exchanged %d and %d messages", msgs[0], msgs[1])
+	}
+}
+
 // TestDistDegradeSpawnFailure: when no worker process can be started at
 // all, the engine degrades to the in-process fragmented engine over the
 // same partition and still produces the full violation set.
@@ -375,9 +506,11 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	a := assignMsg{
-		unit: validate.DistUnit{ID: 9, Group: 2, Candidates: []graph.NodeID{1, 99, 4096},
-			StripeMod: 3, StripeRem: 1, BlockSize: 77},
-		skip: 12345,
+		units: []assignedUnit{
+			{unit: validate.DistUnit{ID: 9, Group: 2, Candidates: []graph.NodeID{1, 99, 4096},
+				StripeMod: 3, StripeRem: 1, BlockSize: 77}, skip: 12345},
+			{unit: validate.DistUnit{ID: 10, Group: 0, BlockSize: 1}},
+		},
 		halo: []haloNode{
 			{id: 42, attrs: [][2]string{{"name", "héllo"}, {"", ""}},
 				out: []haloEdge{{to: 7, label: "knows"}},
@@ -385,11 +518,12 @@ func TestWireRoundTrip(t *testing.T) {
 			{id: 43},
 		},
 	}
-	a2, err := decodeAssign(encodeAssign(a))
+	a2, err := decodeAssign(encodeAssign(nil, a))
 	if err != nil {
 		t.Fatalf("assign round-trip: %v", err)
 	}
-	if a2.unit.ID != a.unit.ID || a2.skip != a.skip || len(a2.halo) != 2 ||
+	if len(a2.units) != 2 || a2.units[0].unit.ID != 9 || a2.units[0].skip != 12345 ||
+		a2.units[0].unit.Candidates[2] != 4096 || a2.units[1].unit.ID != 10 || len(a2.halo) != 2 ||
 		a2.halo[0].attrs[0][1] != "héllo" || len(a2.halo[0].out) != 1 || len(a2.halo[1].attrs) != 0 {
 		t.Fatalf("assign round-trip mangled: %+v", a2)
 	}
@@ -414,7 +548,7 @@ func TestWireRoundTrip(t *testing.T) {
 	}
 
 	// Corrupt truncations must error, never panic or over-allocate.
-	for _, enc := range [][]byte{encodeHello(h), encodeAssign(a), encodeVio(v), encodeDone(d)} {
+	for _, enc := range [][]byte{encodeHello(h), encodeAssign(nil, a), encodeVio(v), encodeDone(d)} {
 		for cut := 0; cut < len(enc); cut += 3 {
 			decodeHello(enc[:cut])
 			decodeAssign(enc[:cut])

@@ -3,8 +3,11 @@ package dist
 import (
 	"bufio"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"io"
+	"math"
+	"slices"
 	"sync"
 	"time"
 
@@ -20,23 +23,35 @@ import (
 // node table, so no translation happens at either end). The protocol is
 // deliberately version-checked in the HELLO and bounded by maxFrame: a
 // torn or garbage frame must become a typed error (and a worker-death
-// event), never a giant allocation or a misread.
+// event), never a giant allocation or a misread. Decoders accept exactly
+// the bytes their encoder writes: a short payload, a count the payload
+// cannot hold, unknown flag bits or trailing bytes are all errMalformed.
 
 const (
-	protoVersion = 1
+	// protoVersion 2: ASSIGN carries a batch of units plus their union
+	// halo (version 1 carried one unit).
+	protoVersion = 2
 	// maxFrame bounds one frame's payload. Halo sections dominate frame
 	// size; a frame above this is protocol corruption, not data.
 	maxFrame = 64 << 20
 	// frameOverhead is the header cost charged per frame against the
 	// modeled cost model (length + type).
 	frameOverhead = 5
+	// readStep is the largest payload buffer the frame reader allocates
+	// before the bytes arrive; longer frames grow it as they are read.
+	readStep = 1 << 20
 )
+
+// errMalformed marks a payload or frame header that no encoder writes.
+// Every decode failure wraps it; torn frames additionally wrap
+// io.ErrUnexpectedEOF.
+var errMalformed = errors.New("dist: malformed frame")
 
 // Frame types.
 const (
 	fHello     byte = iota + 1 // coordinator -> worker: identity, rules, shard path
 	fReady                     // worker -> coordinator: shard opened, groups rebuilt
-	fAssign                    // coordinator -> worker: one unit + halo
+	fAssign                    // coordinator -> worker: a batch of units + their halo
 	fVio                       // worker -> coordinator: violation batch
 	fDone                      // worker -> coordinator: unit finished
 	fHeartbeat                 // worker -> coordinator: liveness
@@ -65,8 +80,17 @@ type rbuf struct {
 
 func (r *rbuf) fail(what string) {
 	if r.err == nil {
-		r.err = fmt.Errorf("dist: truncated %s at offset %d", what, r.off)
+		r.err = fmt.Errorf("%w: bad %s at offset %d", errMalformed, what, r.off)
 	}
+}
+
+// end is the decoders' last call: it rejects trailing bytes and returns
+// the first error of the decode.
+func (r *rbuf) end() error {
+	if r.err == nil && r.off != len(r.b) {
+		r.fail("trailer")
+	}
+	return r.err
 }
 
 func (r *rbuf) u8() byte {
@@ -100,6 +124,16 @@ func (r *rbuf) u64() uint64 {
 }
 
 func (r *rbuf) i64() int64 { return int64(r.u64()) }
+
+// node reads a node ID, rejecting values NodeID cannot hold.
+func (r *rbuf) node() graph.NodeID {
+	v := r.u64()
+	if v > math.MaxInt32 {
+		r.fail("node id")
+		return 0
+	}
+	return graph.NodeID(v)
+}
 
 func (r *rbuf) str() string {
 	n := int(r.u32())
@@ -180,22 +214,34 @@ type frameReader struct {
 
 // read returns the next frame. io.EOF (clean close between frames) and
 // io.ErrUnexpectedEOF (torn frame) both surface as errors; the caller
-// treats any error as end-of-peer.
+// treats any error as end-of-peer. The payload grows as its bytes arrive,
+// so a corrupt header claiming a huge frame costs only what the peer
+// actually sent.
 func (fr *frameReader) read() (byte, []byte, error) {
 	var hdr [frameOverhead]byte
 	if _, err := io.ReadFull(fr.r, hdr[:]); err != nil {
 		if err == io.ErrUnexpectedEOF {
-			return 0, nil, fmt.Errorf("dist: torn frame header: %w", err)
+			return 0, nil, fmt.Errorf("%w: torn header: %w", errMalformed, err)
 		}
 		return 0, nil, err
 	}
-	n := binary.LittleEndian.Uint32(hdr[:4])
+	n := int(binary.LittleEndian.Uint32(hdr[:4]))
 	if n > maxFrame {
-		return 0, nil, fmt.Errorf("dist: frame of %d bytes exceeds limit %d", n, maxFrame)
+		return 0, nil, fmt.Errorf("%w: %d-byte frame exceeds limit %d", errMalformed, n, maxFrame)
 	}
-	payload := make([]byte, n)
-	if _, err := io.ReadFull(fr.r, payload); err != nil {
-		return 0, nil, fmt.Errorf("dist: torn frame payload: %w", err)
+	payload := make([]byte, 0, min(n, readStep))
+	for len(payload) < n {
+		if len(payload) == cap(payload) {
+			payload = slices.Grow(payload, min(n-len(payload), len(payload)))
+		}
+		k, err := io.ReadFull(fr.r, payload[len(payload):min(n, cap(payload))])
+		payload = payload[:len(payload)+k]
+		if err != nil {
+			if err == io.EOF {
+				err = io.ErrUnexpectedEOF
+			}
+			return 0, nil, fmt.Errorf("%w: torn payload: %w", errMalformed, err)
+		}
 	}
 	return hdr[4], payload, nil
 }
@@ -217,7 +263,7 @@ type helloMsg struct {
 
 func encodeHello(h helloMsg) []byte {
 	var w wbuf
-	w.u32(protoVersion)
+	w.u32(h.proto)
 	w.u32(uint32(h.worker))
 	w.u32(uint32(h.workers))
 	w.u64(uint64(h.numNodes))
@@ -244,12 +290,15 @@ func decodeHello(b []byte) (helloMsg, error) {
 	h.numNodes = int(r.u64())
 	h.heartbeat = time.Duration(r.i64())
 	flags := r.u8()
+	if flags&^3 != 0 {
+		r.fail("flags")
+	}
 	h.combine = flags&1 != 0
 	h.arbPivot = flags&2 != 0
 	h.shardPath = r.str()
 	h.rules = r.str()
 	h.groups = int(r.u32())
-	return h, r.err
+	return h, r.end()
 }
 
 type readyMsg struct {
@@ -267,7 +316,7 @@ func encodeReady(m readyMsg) []byte {
 func decodeReady(b []byte) (readyMsg, error) {
 	r := rbuf{b: b}
 	m := readyMsg{numNodes: int(r.u64()), groups: int(r.u32())}
-	return m, r.err
+	return m, r.end()
 }
 
 // haloNode is one non-owned block node shipped to a worker: its attribute
@@ -286,23 +335,44 @@ type haloEdge struct {
 	label string
 }
 
+// assignMsg is one refill of a worker's window: units in the order the
+// worker must run them, each with its skip count, plus the union of the
+// halo nodes they need that this worker incarnation has not received yet.
 type assignMsg struct {
-	unit validate.DistUnit
-	skip int64
-	halo []haloNode
+	units []assignedUnit
+	halo  []haloNode
 }
 
-func encodeAssign(m assignMsg) []byte {
-	var w wbuf
-	w.u32(uint32(m.unit.ID))
-	w.u32(uint32(m.unit.Group))
-	w.u32(uint32(m.unit.StripeMod))
-	w.u32(uint32(m.unit.StripeRem))
-	w.u64(uint64(m.unit.BlockSize))
-	w.u64(uint64(m.skip))
-	w.u32(uint32(len(m.unit.Candidates)))
-	for _, c := range m.unit.Candidates {
-		w.u64(uint64(c))
+type assignedUnit struct {
+	unit validate.DistUnit
+	skip int64 // violations earlier attempts delivered; the rerun suppresses them
+}
+
+// Minimum encoded sizes, which bound the decoders' counts.
+const (
+	minUnitBytes = 4*4 + 8 + 8 + 4 // id, group, stripe mod/rem; block size; skip; candidate count
+	minHaloBytes = 8 + 3*4         // id; attr, out and in counts
+	minPairBytes = 2 * 4           // two empty strings
+	minEdgeBytes = 8 + 4           // target; empty label
+)
+
+// encodeAssign appends m's encoding to dst, so a sender can build every
+// batch in one reused buffer.
+func encodeAssign(dst []byte, m assignMsg) []byte {
+	w := wbuf{b: dst}
+	w.u32(uint32(len(m.units)))
+	for _, au := range m.units {
+		u := au.unit
+		w.u32(uint32(u.ID))
+		w.u32(uint32(u.Group))
+		w.u32(uint32(u.StripeMod))
+		w.u32(uint32(u.StripeRem))
+		w.u64(uint64(u.BlockSize))
+		w.i64(au.skip)
+		w.u32(uint32(len(u.Candidates)))
+		for _, c := range u.Candidates {
+			w.u64(uint64(c))
+		}
 	}
 	w.u32(uint32(len(m.halo)))
 	for _, h := range m.halo {
@@ -329,41 +399,43 @@ func encodeAssign(m assignMsg) []byte {
 func decodeAssign(b []byte) (assignMsg, error) {
 	r := rbuf{b: b}
 	var m assignMsg
-	m.unit.ID = int(r.u32())
-	m.unit.Group = int(r.u32())
-	m.unit.StripeMod = int(r.u32())
-	m.unit.StripeRem = int(r.u32())
-	m.unit.BlockSize = int(r.u64())
-	m.skip = r.i64()
-	nc := r.count(8)
-	m.unit.Candidates = make([]graph.NodeID, nc)
-	for i := range m.unit.Candidates {
-		m.unit.Candidates[i] = graph.NodeID(r.u64())
+	nu := r.count(minUnitBytes)
+	m.units = make([]assignedUnit, 0, nu)
+	for i := 0; i < nu && r.err == nil; i++ {
+		var au assignedUnit
+		au.unit.ID = int(r.u32())
+		au.unit.Group = int(r.u32())
+		au.unit.StripeMod = int(r.u32())
+		au.unit.StripeRem = int(r.u32())
+		au.unit.BlockSize = int(r.u64())
+		au.skip = r.i64()
+		au.unit.Candidates = make([]graph.NodeID, r.count(8))
+		for j := range au.unit.Candidates {
+			au.unit.Candidates[j] = r.node()
+		}
+		m.units = append(m.units, au)
 	}
-	nh := r.count(8)
+	nh := r.count(minHaloBytes)
 	m.halo = make([]haloNode, 0, nh)
 	for i := 0; i < nh && r.err == nil; i++ {
 		var h haloNode
-		h.id = graph.NodeID(r.u64())
-		na := r.count(8)
-		h.attrs = make([][2]string, na)
+		h.id = r.node()
+		h.attrs = make([][2]string, r.count(minPairBytes))
 		for j := range h.attrs {
 			h.attrs[j][0] = r.str()
 			h.attrs[j][1] = r.str()
 		}
-		no := r.count(12)
-		h.out = make([]haloEdge, no)
+		h.out = make([]haloEdge, r.count(minEdgeBytes))
 		for j := range h.out {
-			h.out[j] = haloEdge{to: graph.NodeID(r.u64()), label: r.str()}
+			h.out[j] = haloEdge{to: r.node(), label: r.str()}
 		}
-		ni := r.count(12)
-		h.in = make([]haloEdge, ni)
+		h.in = make([]haloEdge, r.count(minEdgeBytes))
 		for j := range h.in {
-			h.in[j] = haloEdge{to: graph.NodeID(r.u64()), label: r.str()}
+			h.in[j] = haloEdge{to: r.node(), label: r.str()}
 		}
 		m.halo = append(m.halo, h)
 	}
-	return m, r.err
+	return m, r.end()
 }
 
 type vioMsg struct {
@@ -397,11 +469,11 @@ func decodeVio(b []byte) (vioMsg, error) {
 		nm := r.count(8)
 		v.Match = make(core.Match, nm)
 		for j := range v.Match {
-			v.Match[j] = graph.NodeID(r.u64())
+			v.Match[j] = r.node()
 		}
 		m.vios = append(m.vios, v)
 	}
-	return m, r.err
+	return m, r.end()
 }
 
 type doneMsg struct {
@@ -423,7 +495,7 @@ func encodeDone(m doneMsg) []byte {
 func decodeDone(b []byte) (doneMsg, error) {
 	r := rbuf{b: b}
 	m := doneMsg{unit: int(r.u32()), found: r.i64(), delivered: r.i64(), wall: time.Duration(r.i64())}
-	return m, r.err
+	return m, r.end()
 }
 
 type censusMsg struct {
@@ -441,5 +513,5 @@ func encodeCensus(m censusMsg) []byte {
 func decodeCensus(b []byte) (censusMsg, error) {
 	r := rbuf{b: b}
 	m := censusMsg{unitsRun: r.i64(), delivered: r.i64()}
-	return m, r.err
+	return m, r.end()
 }

@@ -53,7 +53,9 @@ func MaybeWorker() {
 }
 
 // workerMain is the worker protocol loop: HELLO → open shard → READY →
-// (ASSIGN → VIO* → DONE)* → SHUTDOWN → CENSUS. It deliberately recovers
+// (ASSIGN → (VIO* → DONE) per unit of the batch)* → SHUTDOWN → CENSUS.
+// The coordinator keeps a window of units in flight, so further ASSIGN
+// batches wait in the pipe while a batch runs. It deliberately recovers
 // nothing: a panic — injected or genuine — crashes the process with a
 // stack on stderr, which is exactly the failure mode the coordinator is
 // built to detect and survive.
@@ -148,7 +150,7 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 		}
 	}()
 
-	var census censusMsg
+	loop := newUnitLoop(runner, fw)
 	for {
 		typ, payload, err := fr.read()
 		if err != nil {
@@ -163,50 +165,21 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 			if err != nil {
 				return fail("decoding assign: %v", err)
 			}
-			// Process-kill faults fire at unit start, before any work —
-			// the moment a real OOM-kill or node loss is most likely.
-			if inj.ProcKill(h.worker, m.unit.ID) {
-				os.Exit(exitKilled)
-			}
 			if err := applyHalo(ov, m.halo); err != nil {
-				return fail("patching halo for unit %d: %v", m.unit.ID, err)
+				return fail("patching halo: %v", err)
 			}
-			start := time.Now()
-			var delivered int64
-			batch := make([]validate.Violation, 0, vioBatch)
-			flush := func() bool {
-				if len(batch) == 0 {
-					return true
+			for _, au := range m.units {
+				// Process-kill faults fire at unit start, before any work —
+				// the moment a real OOM-kill or node loss is most likely.
+				if inj.ProcKill(h.worker, au.unit.ID) {
+					return exitKilled
 				}
-				if fw.write(fVio, encodeVio(vioMsg{unit: m.unit.ID, vios: batch})) != nil {
-					return false
+				if err := loop.run(au); err != nil {
+					return fail("%v", err)
 				}
-				delivered += int64(len(batch))
-				batch = batch[:0]
-				return true
 			}
-			emit := func(v validate.Violation) bool {
-				batch = append(batch, v)
-				if len(batch) >= vioBatch {
-					return flush()
-				}
-				return true
-			}
-			found, err := runner.Run(m.unit, m.skip, emit)
-			if err != nil {
-				return fail("running unit %d: %v", m.unit.ID, err)
-			}
-			if !flush() {
-				return fail("writing violations for unit %d", m.unit.ID)
-			}
-			done := doneMsg{unit: m.unit.ID, found: found, delivered: delivered, wall: time.Since(start)}
-			if err := fw.write(fDone, encodeDone(done)); err != nil {
-				return fail("writing done for unit %d: %v", m.unit.ID, err)
-			}
-			census.unitsRun++
-			census.delivered += delivered
 		case fShutdown:
-			if err := fw.write(fCensus, encodeCensus(census)); err != nil {
+			if err := fw.write(fCensus, encodeCensus(loop.census)); err != nil {
 				return fail("writing census: %v", err)
 			}
 			return 0
@@ -214,6 +187,68 @@ func workerMain(stdin io.Reader, stdout, stderr io.Writer) int {
 			return fail("unexpected frame type %d", typ)
 		}
 	}
+}
+
+// unitLoop runs the units of ASSIGN batches one after another and reports
+// each: its violations in fVio frames of up to vioBatch, then one fDone.
+// Its buffers live across units, so the steady state allocates only the
+// encoded frames.
+type unitLoop struct {
+	runner *validate.UnitRunner
+	fw     *frameWriter
+	census censusMsg
+
+	unit      int                           // unit being run
+	batch     []validate.Violation          // violations not yet flushed
+	delivered int64                         // violations flushed for the unit
+	emitFn    func(validate.Violation) bool // emit, bound once instead of per unit
+}
+
+func newUnitLoop(runner *validate.UnitRunner, fw *frameWriter) *unitLoop {
+	l := &unitLoop{runner: runner, fw: fw, batch: make([]validate.Violation, 0, vioBatch)}
+	l.emitFn = l.emit
+	return l
+}
+
+// run executes one unit and writes its frames.
+func (l *unitLoop) run(au assignedUnit) error {
+	l.unit = au.unit.ID
+	l.delivered = 0
+	start := time.Now()
+	found, err := l.runner.Run(au.unit, au.skip, l.emitFn)
+	if err != nil {
+		return fmt.Errorf("running unit %d: %w", l.unit, err)
+	}
+	if !l.flush() {
+		return fmt.Errorf("writing violations for unit %d", l.unit)
+	}
+	done := doneMsg{unit: l.unit, found: found, delivered: l.delivered, wall: time.Since(start)}
+	if err := l.fw.write(fDone, encodeDone(done)); err != nil {
+		return fmt.Errorf("writing done for unit %d: %w", l.unit, err)
+	}
+	l.census.unitsRun++
+	l.census.delivered += l.delivered
+	return nil
+}
+
+func (l *unitLoop) emit(v validate.Violation) bool {
+	l.batch = append(l.batch, v)
+	if len(l.batch) >= vioBatch {
+		return l.flush()
+	}
+	return true
+}
+
+func (l *unitLoop) flush() bool {
+	if len(l.batch) == 0 {
+		return true
+	}
+	if l.fw.write(fVio, encodeVio(vioMsg{unit: l.unit, vios: l.batch})) != nil {
+		return false
+	}
+	l.delivered += int64(len(l.batch))
+	l.batch = l.batch[:0]
+	return true
 }
 
 // applyHalo patches the shipped non-owned block nodes into the worker's

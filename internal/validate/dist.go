@@ -128,20 +128,25 @@ func (b *Bundle) DistPlan(cl *cluster.Cluster, opt Options) (*DistPlan, error) {
 	return p, nil
 }
 
-// BlockNodes returns unit i's data block — the union of the pivot
+// BlockInto fills set with unit i's data block — the union of the pivot
 // candidates' radius neighborhoods — computed on the coordinator's
-// topology, sorted ascending. The coordinator uses it to decide which
-// non-owned nodes a worker needs shipped (the halo) before it can
-// reproduce the block locally.
-func (p *DistPlan) BlockNodes(i int) []graph.NodeID {
-	return p.units[i].BlockIn(p.b.topo).Sorted()
+// topology. The set is reset first; its members come in fill order. The
+// coordinator uses the block to decide which non-owned nodes a worker
+// needs shipped (the halo) before it can reproduce the block locally.
+func (p *DistPlan) BlockInto(set *graph.EpochSet, i int) {
+	set.Reset()
+	u := p.units[i]
+	for j, v := range u.Candidates {
+		p.b.topo.BlockInto(set, v, u.Pivot.Radii[j])
+	}
 }
 
 // UnitRunner executes DistUnits inside a worker process: the same
 // unitDetector, data-block assembly, stripe filtering, and symmetric
 // dedup enumeration the in-process engines run, over the worker's
 // shard-backed topology. It is single-threaded, like the worker's
-// assignment loop (the coordinator keeps one unit in flight per worker).
+// assignment loop, which runs a window's units one after another in the
+// order the coordinator sent them.
 type UnitRunner struct {
 	groups []*ruleGroup
 	det    *unitDetector
