@@ -599,10 +599,10 @@ func (r *coordRun) startHead(p *procState) {
 
 // appendHalo adds to the refill the unit's block nodes this worker does
 // not own and has not been shipped yet this incarnation: attribute tuples
-// plus full adjacency, from the coordinator's snapshot. Because every shard keeps
-// the full node/class/symbol tables, the halo is the only data a worker
-// is missing, and after patching, its local block reproduces the
-// coordinator's exactly.
+// plus full adjacency, from the coordinator's snapshot. Because every
+// shard keeps the full node/class/symbol tables, the halo is the only
+// data a worker is missing, and after patching, its local block
+// reproduces the coordinator's exactly.
 func (r *coordRun) appendHalo(m *assignMsg, p *procState, ui int) {
 	r.plan.BlockInto(r.block, ui)
 	r.sorted = append(r.sorted[:0], r.block.Members()...)
