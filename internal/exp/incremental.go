@@ -1,6 +1,7 @@
 package exp
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"time"
@@ -18,7 +19,11 @@ import (
 //     maintained graph.Overlay and re-validates only the touched units on
 //     the compiled match path (no re-freeze);
 //   - refreeze: the naive recompute a stateless server would do — mutate
-//     the graph, then freeze and run a full batch detection per batch.
+//     the graph, then freeze and run a full batch detection per batch;
+//   - apply_repval: a session keeping a prepared rule set — Session.Apply
+//     per batch, then a full repVal Detect over the live overlay, whose
+//     plan is patched from the previous version's (estimate_ms is the
+//     mean Result.EstimateWall of those rounds).
 //
 // The emitted table carries per-batch wall times plus each path's
 // snapshot-build count, so the benchmark gate watches both the speedup
@@ -122,14 +127,49 @@ func Incremental(c Config, batches, batchSize int) Table {
 		fullBuilds = gFull.SnapshotBuilds()
 	}
 
+	// Session path: Apply, then a repVal round re-planned from the
+	// previous version's plan. The first Detect (cold plan) is untimed.
+	var appMS, appEstMS float64
+	var appBuilds int
+	ctx := context.Background()
+	opt := validate.Options{Engine: validate.EngineReplicated, N: 4}
+	for r := 0; r < reps; r++ {
+		gApp := w.G.Clone()
+		sess := mustSession(gApp)
+		prep, err := sess.Prepare(w.Set)
+		if err != nil {
+			panic(err)
+		}
+		if _, err := prep.Detect(ctx, opt); err != nil {
+			panic(err)
+		}
+		var est time.Duration
+		start := time.Now()
+		for _, ups := range stream {
+			sess.Apply(ups...)
+			res, err := prep.Detect(ctx, opt)
+			if err != nil {
+				panic(err)
+			}
+			est += res.EstimateWall
+		}
+		ms := time.Since(start).Seconds() * 1000 / float64(batches)
+		if r == 0 || ms < appMS {
+			appMS = ms
+			appEstMS = est.Seconds() * 1000 / float64(batches)
+		}
+		appBuilds = gApp.SnapshotBuilds()
+	}
+
 	return Table{
 		Title: fmt.Sprintf("Incremental — update-batch maintenance: overlay vs re-freeze (%s, %d batches × %d updates)",
 			c.Dataset, batches, batchSize),
 		XLabel: "path",
-		Series: []string{"ms_per_batch", "snapshot_builds"},
+		Series: []string{"ms_per_batch", "estimate_ms", "snapshot_builds"},
 		Rows: []Row{
 			{X: "overlay", Cells: map[string]float64{"ms_per_batch": incMS, "snapshot_builds": float64(incBuilds)}},
 			{X: "refreeze", Cells: map[string]float64{"ms_per_batch": fullMS, "snapshot_builds": float64(fullBuilds)}},
+			{X: "apply_repval", Cells: map[string]float64{"ms_per_batch": appMS, "estimate_ms": appEstMS, "snapshot_builds": float64(appBuilds)}},
 		},
 	}
 }

@@ -55,6 +55,11 @@ type Overlay struct {
 	// alternative to discarding every measurement per update batch.
 	// Attribute writes are deliberately absent: they change no neighborhood.
 	touchLog []NodeID
+	// attrLog records the node of every SetAttr in update order — the
+	// delta holders of value-ordered per-node state (the engines' sorted
+	// pivot candidate lists) re-place. Values given at AddNode are not
+	// logged: the node itself is new.
+	attrLog []NodeID
 
 	scratch sync.Pool // *bfsScratch
 }
@@ -138,6 +143,19 @@ func (o *Overlay) TouchedSince(mark int) []NodeID {
 	return o.touchLog[mark:]
 }
 
+// AttrTouchLen returns the current length of the attribute touch log.
+func (o *Overlay) AttrTouchLen() int { return len(o.attrLog) }
+
+// AttrTouchedSince returns the nodes whose attributes were written since
+// the given attribute-log mark, in update order, possibly with repeats.
+// Shared slice; read-only.
+func (o *Overlay) AttrTouchedSince(mark int) []NodeID {
+	if mark >= len(o.attrLog) {
+		return nil
+	}
+	return o.attrLog[max(mark, 0):]
+}
+
 // AddNode inserts a node into the underlying graph and patches the
 // overlay: label interned, candidate class extended, attribute tuple
 // indexed. Returns the new node's ID.
@@ -190,6 +208,7 @@ func (o *Overlay) MustAddEdge(from, to NodeID, label string) {
 func (o *Overlay) SetAttr(v NodeID, a, val string) {
 	o.g.SetAttr(v, a, val)
 	o.attrs.SetAttr(v, a, val)
+	o.attrLog = append(o.attrLog, v)
 	o.delta++
 	o.version = o.g.Version()
 }

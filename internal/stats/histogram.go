@@ -5,7 +5,10 @@
 package stats
 
 import (
+	"cmp"
+	"slices"
 	"sort"
+	"strings"
 
 	"gfd/internal/graph"
 )
@@ -49,20 +52,105 @@ func EquiDepth(n, m int) []Range {
 // equi-depth histogram over a selected attribute of C(µ(z)); the returned
 // order is the sorted candidate list the ranges index into.
 func EquiDepthByValue(g *graph.Graph, candidates []graph.NodeID, attr string, m int) ([]graph.NodeID, []Range) {
-	sorted := append([]graph.NodeID(nil), candidates...)
-	sort.Slice(sorted, func(i, j int) bool {
-		vi, oki := g.Attr(sorted[i], attr)
-		vj, okj := g.Attr(sorted[j], attr)
-		switch {
-		case oki != okj:
-			return !oki // missing first
-		case vi != vj:
-			return vi < vj
-		default:
-			return sorted[i] < sorted[j]
-		}
-	})
+	sorted := SortByValue(g, candidates, attr)
 	return sorted, EquiDepth(len(sorted), m)
+}
+
+// valueKey is a candidate decorated with its sort key, read once: the
+// comparator then does no attribute lookups.
+type valueKey struct {
+	id  graph.NodeID
+	has bool
+	val string
+}
+
+func keyOf(g *graph.Graph, v graph.NodeID, attr string) valueKey {
+	val, ok := g.Attr(v, attr)
+	return valueKey{id: v, has: ok, val: val}
+}
+
+// compareKeys orders candidates missing the attribute first, then by
+// value, then by ID — a total order, so the sorted list is a function of
+// the candidate set and its values alone.
+func compareKeys(a, b valueKey) int {
+	switch {
+	case a.has != b.has:
+		if !a.has {
+			return -1
+		}
+		return 1
+	case a.val != b.val:
+		return strings.Compare(a.val, b.val)
+	}
+	return cmp.Compare(a.id, b.id)
+}
+
+// SortByValue returns a copy of candidates in equi-depth order: by the
+// given attribute's value, candidates missing it first, ties by ID.
+func SortByValue(g *graph.Graph, candidates []graph.NodeID, attr string) []graph.NodeID {
+	keys := make([]valueKey, len(candidates))
+	for i, v := range candidates {
+		keys[i] = keyOf(g, v, attr)
+	}
+	slices.SortFunc(keys, compareKeys)
+	sorted := make([]graph.NodeID, len(keys))
+	for i, k := range keys {
+		sorted[i] = k.id
+	}
+	return sorted
+}
+
+// ResortByValue brings a list sorted by SortByValue up to date with the
+// graph: moved names the nodes whose key may have changed since (they are
+// taken out wherever they sit) and the new candidates (absent from
+// sorted). The result equals SortByValue over the updated candidate set,
+// at O(|sorted|) copying plus O(|moved| log |sorted|) attribute reads,
+// instead of a full re-sort. sorted is not modified; with nothing moved
+// it is returned as is.
+func ResortByValue(g *graph.Graph, sorted, moved []graph.NodeID, attr string) []graph.NodeID {
+	if len(moved) == 0 {
+		return sorted
+	}
+	keys := make([]valueKey, len(moved))
+	var maxID graph.NodeID
+	for i, v := range moved {
+		keys[i] = keyOf(g, v, attr)
+		maxID = max(maxID, v)
+	}
+	slices.SortFunc(keys, compareKeys)
+	keys = slices.CompactFunc(keys, func(a, b valueKey) bool { return a.id == b.id })
+	out := make([]graph.NodeID, 0, len(sorted)+len(keys))
+	// Drop the moved nodes from the old order; everything left keeps its
+	// key, so the remainder is still sorted.
+	isMoved := make([]bool, int(maxID)+1)
+	for _, k := range keys {
+		isMoved[k.id] = true
+	}
+	for _, v := range sorted {
+		if int(v) >= len(isMoved) || !isMoved[v] {
+			out = append(out, v)
+		}
+	}
+	kept := len(out)
+	// Merge the moved keys back in: each insertion point is a binary
+	// search over the kept prefix, and the points never decrease, so one
+	// backward pass shifts every kept node at most once.
+	pos := make([]int, len(keys))
+	lo := 0
+	for i, k := range keys {
+		lo += sort.Search(kept-lo, func(j int) bool { return compareKeys(keyOf(g, out[lo+j], attr), k) > 0 })
+		pos[i] = lo
+	}
+	out = out[:kept+len(keys)]
+	src := kept
+	for i := len(keys) - 1; i >= 0; i-- {
+		dst := pos[i] + i + 1
+		n := src - pos[i]
+		copy(out[dst:dst+n], out[pos[i]:src])
+		src = pos[i]
+		out[pos[i]+i] = keys[i].id
+	}
+	return out
 }
 
 // DegreeStats summarizes the degree distribution of a graph.

@@ -1,6 +1,7 @@
 package validate
 
 import (
+	"slices"
 	"time"
 
 	"gfd/internal/cluster"
@@ -324,12 +325,8 @@ func stripeNode(grp *ruleGroup, u workUnit) int {
 	if u.stripeMod == 0 {
 		return -1
 	}
-	pinned := make(map[int]bool, len(grp.pivot.Vars))
-	for _, v := range grp.pivot.Vars {
-		pinned[v] = true
-	}
 	for i := 0; i < grp.q.NumNodes(); i++ {
-		if !pinned[i] {
+		if !slices.Contains(grp.pivot.Vars, i) {
 			return i
 		}
 	}
@@ -343,50 +340,63 @@ func splittable(grp *ruleGroup) bool {
 }
 
 // splitThreshold resolves the effective θ given the generated units.
-func splitThreshold(opt Options, units []workUnit) int {
-	if opt.NoOptimize || opt.SplitThreshold < 0 || len(units) == 0 {
+func splitThreshold(opt Options, units [][]workUnit) int {
+	var n, total int64
+	for _, chunk := range units {
+		n += int64(len(chunk))
+		for i := range chunk {
+			total += int64(chunk[i].BlockSize)
+		}
+	}
+	if opt.NoOptimize || opt.SplitThreshold < 0 || n == 0 {
 		return 0 // disabled
 	}
 	if opt.SplitThreshold > 0 {
 		return opt.SplitThreshold
 	}
-	var total int64
-	for _, u := range units {
-		total += int64(u.BlockSize)
-	}
-	return int(4 * total / int64(len(units)))
+	return int(4 * total / n)
 }
 
-// applySplit replaces oversized units with stripes (replicate-and-split,
-// Appendix): each stripe keeps the pivots and data block but enumerates
-// only matches whose stripe-node image falls in its residue class, so the
-// stripes' match sets partition the original unit's.
-func applySplit(units []workUnit, groups []*ruleGroup, theta int) (out []workUnit, split int) {
-	if theta <= 0 {
-		return units, 0
+// applySplit flattens the unit chunks into one sequence, replacing
+// oversized units with stripes (replicate-and-split, Appendix): each
+// stripe keeps the pivots and data block but enumerates only matches
+// whose stripe-node image falls in its residue class, so the stripes'
+// match sets partition the original unit's. A single chunk with nothing
+// to split is returned as is.
+func applySplit(units [][]workUnit, groups []*ruleGroup, theta int) (out []workUnit, split int) {
+	stripes := func(u *workUnit) int {
+		if theta <= 0 || u.BlockSize <= theta || !splittable(groups[u.group]) {
+			return 1
+		}
+		return (u.BlockSize + theta - 1) / theta // >= 2: BlockSize > theta
 	}
-	out = make([]workUnit, 0, len(units))
-	for _, u := range units {
-		grp := groups[u.group]
-		if u.BlockSize <= theta || !splittable(grp) {
-			out = append(out, u)
-			continue
+	n, extra := 0, 0
+	for _, chunk := range units {
+		n += len(chunk)
+		for i := range chunk {
+			extra += stripes(&chunk[i]) - 1
 		}
-		s := (u.BlockSize + theta - 1) / theta
-		if s < 2 {
-			out = append(out, u)
-			continue
-		}
-		for rem := 0; rem < s; rem++ {
-			su := u
-			su.stripeMod = s
-			su.stripeRem = rem
-			su.BlockSize = u.BlockSize / s
-			if su.BlockSize == 0 {
-				su.BlockSize = 1
+	}
+	if extra == 0 && len(units) == 1 {
+		return units[0], 0
+	}
+	out = make([]workUnit, 0, n+extra)
+	for _, chunk := range units {
+		for i := range chunk {
+			u := &chunk[i]
+			s := stripes(u)
+			if s == 1 {
+				out = append(out, *u)
+				continue
 			}
-			out = append(out, su)
-			split++
+			for rem := 0; rem < s; rem++ {
+				out = append(out, *u)
+				su := &out[len(out)-1]
+				su.stripeMod = s
+				su.stripeRem = rem
+				su.BlockSize = max(u.BlockSize/s, 1)
+				split++
+			}
 		}
 	}
 	return out, split

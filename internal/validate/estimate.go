@@ -1,37 +1,55 @@
 package validate
 
 import (
+	"maps"
+	"slices"
 	"time"
 
 	"gfd/internal/cluster"
 	"gfd/internal/fragment"
 	"gfd/internal/graph"
+	"gfd/internal/pattern"
 	"gfd/internal/stats"
 	"gfd/internal/workload"
 )
 
-// This file is the cached workload-estimation layer. The estimation phase
-// (bPar / disPar) is the per-Detect serial prefix PR 4 left on the warm
-// path: candidate listing, equi-depth partitioning, one c-hop traversal
-// per pivot candidate (measureSizes — the expensive part), and unit
-// assembly re-ran on every call even when nothing changed. The Bundle now
-// memoizes the assembled unit set per (grouping variant, n, histogram m)
-// and the block-size measurements across all variants, so:
+// This file is the cached workload-estimation layer: bPar / disPar's
+// candidate listing, equi-depth partitioning, one c-hop traversal per
+// pivot candidate, and unit assembly, followed by the split and the
+// balanced assignment. The Bundle memoizes its product at three levels:
 //
-//   - warm rounds (same bundle, same options) perform zero estimation
-//     passes: the unit set, the modeled estimation span, and the phase's
-//     comm charges are replayed from the cache (EstimationStats is the
-//     probe, mirroring Graph.SnapshotBuilds);
-//   - rounds after Session.Apply re-measure only the touched blocks: the
-//     superseding bundle inherits the size cache pruned by the overlay's
-//     touch log (a (v, r) measurement is stale only when a touched node
-//     lies within r hops of v), making warm estimation update-
-//     proportional like the detection phase already was.
+//   - per bundle, the assembled unit set per (grouping variant, n,
+//     histogram m) and the post-split plan per option variant: warm
+//     rounds (same bundle, same options) perform no estimation pass; the
+//     unit set, the modeled estimation span and the phase's comm charges
+//     are replayed (EstimationStats is the probe, mirroring
+//     Graph.SnapshotBuilds);
+//   - across graph versions, the inputs every plan is rebuilt from: the
+//     value-sorted candidate list per pivot label and the block sizes, in
+//     a dense per-radius table that keeps each measurement's traversal
+//     cost. A bundle superseding its predecessor over the same live
+//     overlay (Session.Apply, detector Apply, a compaction of it) patches
+//     both by the delta the overlay's touch logs record: nodes whose
+//     attributes changed and new class members are re-placed in the sorted
+//     lists (stats.ResortByValue), and a (v, r) size is dropped only when
+//     a topology-touched node lies within r hops of v (distWithin). Units,
+//     split and assignment are then rebuilt by linear, allocation-light
+//     passes, so the post-Apply plan costs O(|candidates|) copying plus
+//     O(delta) attribute reads and traversals, not a re-sort and a
+//     re-measure of every unit;
+//   - when the delta is unknown (a mutation that bypassed the overlay, a
+//     first prepare), the plan is built cold, and the next Apply patches
+//     again.
 //
-// Result faithfulness: EstimateSpan is reconstructed from per-traversal
-// costs recorded at measurement time (the same round-robin schedule the
-// live phase uses), so the modeled n-worker spans the figures plot are
-// unchanged by caching — only EstimateWall collapses on warm rounds.
+// A patched plan is the plan a cold bundle builds over the same topology:
+// the same unit sequence, split, weights and assignment
+// (TestPatchedPlanMatchesCold). EstimateSpan is reconstructed from the
+// recorded per-traversal costs over the same round-robin schedule the live
+// phase uses, plus the measured unit assembly, so the modeled n-worker
+// spans the figures plot are unchanged by caching.
+
+// sortAttr is the attribute pivot candidate lists are equi-depth sorted by.
+const sortAttr = "val"
 
 // sizeReq identifies one block-size measurement |G_z̄[v]|.
 type sizeReq struct {
@@ -40,10 +58,68 @@ type sizeReq struct {
 }
 
 // sizeVal is one cached measurement plus its traversal cost; the cost
-// replays faithful modeled spans without re-traversing.
+// replays faithful modeled spans without re-traversing. size 0 marks an
+// unmeasured cell: every block holds at least its own node.
 type sizeVal struct {
 	size int
 	cost time.Duration
+}
+
+// sizePageBits sets the size table's page: copy-on-write granularity.
+const sizePageBits = 9
+
+type sizePage [1 << sizePageBits]sizeVal
+
+// sizeTable is the dense block-size cache, indexed by radius, then by node
+// in pages. It is immutable once published; sizeWriter derives an updated
+// table that shares every page it did not write.
+type sizeTable [][]*sizePage
+
+func (t sizeTable) get(v graph.NodeID, r int) sizeVal {
+	if r < len(t) {
+		if p := int(v) >> sizePageBits; p < len(t[r]) && t[r][p] != nil {
+			return t[r][p][int(v)&(1<<sizePageBits-1)]
+		}
+	}
+	return sizeVal{}
+}
+
+// sizeWriter builds a new table from a published one, copying a row's page
+// index and a page on their first write only.
+type sizeWriter struct {
+	t     sizeTable
+	owned []bool // rows whose page index is private
+	pages map[*sizePage]bool
+}
+
+func newSizeWriter(t sizeTable) *sizeWriter {
+	return &sizeWriter{t: slices.Clone(t), owned: make([]bool, len(t)), pages: make(map[*sizePage]bool)}
+}
+
+func (w *sizeWriter) set(v graph.NodeID, r int, val sizeVal) {
+	for len(w.t) <= r {
+		w.t = append(w.t, nil)
+		w.owned = append(w.owned, true)
+	}
+	if !w.owned[r] {
+		w.t[r] = slices.Clone(w.t[r])
+		w.owned[r] = true
+	}
+	p := int(v) >> sizePageBits
+	if p >= len(w.t[r]) {
+		w.t[r] = append(w.t[r], make([]*sizePage, p+1-len(w.t[r]))...)
+	}
+	pg := w.t[r][p]
+	switch {
+	case pg == nil:
+		pg = new(sizePage)
+	case !w.pages[pg]:
+		cp := *pg
+		pg = &cp
+	}
+	w.pages[pg] = true
+	w.t[r][p] = pg
+	pg[int(v)&(1<<sizePageBits-1)] = val
 }
 
 // shipRec is one recorded estimation-phase shipment, replayed into the
@@ -61,11 +137,12 @@ type estKey struct {
 	histogramM int
 }
 
-// estEntry is one memoized estimation phase: the pre-split unit set in
-// canonical order (read-only; splitting and assignment copy), the modeled
-// span, and the phase's comm charges.
+// estEntry is one memoized estimation phase: the pre-split unit set as the
+// workers assembled it — per-worker chunks whose concatenation is the
+// canonical order (read-only; the split pass flattens them into the
+// plan) — the modeled span, and the phase's comm charges.
 type estEntry struct {
-	units []workUnit
+	units [][]workUnit
 	span  time.Duration
 	ships []shipRec
 }
@@ -81,7 +158,7 @@ type fragEstKey struct {
 // units with per-worker ship costs attached, plus the candidate-report
 // charges of disPar's first exchange.
 type fragEstEntry struct {
-	units     []workUnit
+	units     [][]workUnit
 	span      time.Duration
 	candShips []shipRec
 	estShips  []shipRec
@@ -115,25 +192,43 @@ type planEntry struct {
 
 // estState is the Bundle's estimation cache, guarded by Bundle.mu except
 // for the traversals themselves (workers measure without the lock and
-// merge results under it).
+// publish results under it). lists and sizes are copy-on-write: a
+// published value is never modified, so a successor bundle or a
+// still-running round may hold it.
 type estState struct {
-	sizes       map[sizeReq]sizeVal
+	lists       map[string][]graph.NodeID // pivot label -> candidates in equi-depth order
+	sizes       sizeTable
+	from        *estDelta // predecessor state not yet brought up to date
+	inherited   bool      // lists and sizes were patched from a predecessor
 	entries     map[estKey]*estEntry
 	fragEntries map[fragEstKey]*fragEstEntry
 	plans       map[planKey]*planEntry
 
 	builds   int // full estimation passes (unit-set cache misses)
+	patched  int // builds served from a predecessor's patched lists and sizes
 	reuses   int // Detect rounds served without an estimation pass
 	measured int // block-size traversals actually run
+}
+
+// estDelta is an inherited estimation state plus the updates since it was
+// current: resolved lazily, by the bundle's first estimation pass.
+type estDelta struct {
+	lists    map[string][]graph.NodeID
+	sizes    sizeTable
+	numNodes int            // |V| the state reflects; higher IDs are new nodes
+	touched  []graph.NodeID // topology touches since (overlay touch log)
+	attrs    []graph.NodeID // attribute writes since (overlay attribute log)
 }
 
 // EstStats are the estimation-cache probe counters, cumulative across the
 // bundles a Prepared re-derives (they survive Session.Apply rebuilds the
 // way Graph.SnapshotBuilds survives Freeze cache hits). The regression
-// tests assert warm rounds leave Builds and Measured unchanged, and that
-// an Apply delta re-measures exactly the touched blocks.
+// tests assert warm rounds leave Builds and Measured unchanged, that an
+// Apply delta re-measures exactly the touched blocks, and that post-Apply
+// builds are Patched rather than cold.
 type EstStats struct {
 	Builds   int
+	Patched  int // of Builds: re-sorted nothing, inherited every size not touched
 	Reused   int
 	Measured int
 }
@@ -142,7 +237,7 @@ type EstStats struct {
 func (b *Bundle) EstimationStats() EstStats {
 	b.mu.Lock()
 	defer b.mu.Unlock()
-	return EstStats{Builds: b.est.builds, Reused: b.est.reuses, Measured: b.est.measured}
+	return EstStats{Builds: b.est.builds, Patched: b.est.patched, Reused: b.est.reuses, Measured: b.est.measured}
 }
 
 func replayShips(cl *cluster.Cluster, ships []shipRec) {
@@ -153,13 +248,13 @@ func replayShips(cl *cluster.Cluster, ships []shipRec) {
 
 // estimateFor returns the pre-split unit set and modeled estimation span
 // for the given grouping variant, serving warm rounds entirely from the
-// cache (comm charges replayed, zero traversals). The returned slice is
+// cache (comm charges replayed, zero traversals). The returned chunks are
 // shared and read-only; applySplit copies before mutating.
 //
 // Estimation is not unit-granular, so a panic here (recovered by the
 // cluster into a *WorkerError) is not retried: the error propagates and
 // the failed pass is not cached.
-func (b *Bundle) estimateFor(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey, opt Options) ([]workUnit, time.Duration, error) {
+func (b *Bundle) estimateFor(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey, opt Options) ([][]workUnit, time.Duration, error) {
 	e, err := b.baseEstimate(cl, groups, gk, opt)
 	if err != nil {
 		return nil, 0, err
@@ -184,7 +279,7 @@ func (b *Bundle) baseEstimate(cl *cluster.Cluster, groups []*ruleGroup, gk group
 		ships = append(ships, shipRec{from, to, bytes})
 		cl.Ship(from, to, bytes)
 	}
-	units, span, err := b.assembleUnits(cl, groups, opt, ship)
+	units, span, patched, err := b.assembleUnits(cl, groups, opt, ship)
 	if err != nil {
 		return nil, err
 	}
@@ -202,6 +297,9 @@ func (b *Bundle) baseEstimate(cl *cluster.Cluster, groups []*ruleGroup, gk group
 		b.est.entries[key] = e
 	}
 	b.est.builds++
+	if patched {
+		b.est.patched++
+	}
 	b.mu.Unlock()
 	return e, nil
 }
@@ -228,7 +326,7 @@ const (
 // round, so the modeled figures are unchanged by caching.
 func (b *Bundle) planFor(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey, opt Options, frag *fragment.Fragmentation) (*planEntry, time.Duration, error) {
 	var (
-		units []workUnit
+		units [][]workUnit
 		span  time.Duration
 		err   error
 	)
@@ -261,9 +359,9 @@ func (b *Bundle) planFor(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey, 
 	p := &planEntry{}
 	p.units, p.split = applySplit(units, groups, theta)
 	weights := make([]int, len(p.units))
-	for i, u := range p.units {
-		weights[i] = u.Weight()
-		p.totalWeight += int64(u.Weight())
+	for i := range p.units {
+		weights[i] = p.units[i].Weight()
+		p.totalWeight += int64(weights[i])
 	}
 	switch {
 	case opt.RandomAssign:
@@ -293,7 +391,7 @@ func (b *Bundle) planFor(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey, 
 // estimateFrag is the fragmented-engine estimation: disPar's candidate
 // reports, the shared base estimation, and per-worker ship costs attached
 // to a private copy of the units — all memoized per (variant, partition).
-func (b *Bundle) estimateFrag(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey, opt Options, frag *fragment.Fragmentation) ([]workUnit, time.Duration, error) {
+func (b *Bundle) estimateFrag(cl *cluster.Cluster, groups []*ruleGroup, gk groupKey, opt Options, frag *fragment.Fragmentation) ([][]workUnit, time.Duration, error) {
 	key := fragEstKey{ek: estKey{gk: gk, n: opt.N, histogramM: opt.HistogramM}, frag: frag}
 	b.mu.Lock()
 	if e, ok := b.est.fragEntries[key]; ok {
@@ -317,11 +415,11 @@ func (b *Bundle) estimateFrag(cl *cluster.Cluster, groups []*ruleGroup, gk group
 	if err != nil {
 		return nil, 0, err
 	}
-	units := append([]workUnit(nil), base.units...)
+	units := slices.Concat(base.units...)
 	for i := range units {
 		attachShipCosts(b.g, b.topo, frag, &units[i])
 	}
-	e := &fragEstEntry{units: units, span: base.span, candShips: candShips, estShips: base.ships}
+	e := &fragEstEntry{units: [][]workUnit{units}, span: base.span, candShips: candShips, estShips: base.ships}
 
 	b.mu.Lock()
 	if prev, dup := b.est.fragEntries[key]; dup {
@@ -341,23 +439,20 @@ func (b *Bundle) estimateFrag(cl *cluster.Cluster, groups []*ruleGroup, gk group
 // ranges, range combinations are distributed round-robin to workers, each
 // worker assembles unit descriptors from the (cached) block-size
 // measurements and reports them to the coordinator via ship. The caller
-// owns the communication round.
-func (b *Bundle) assembleUnits(cl *cluster.Cluster, groups []*ruleGroup, opt Options, ship func(from, to int, bytes int64)) ([]workUnit, time.Duration, error) {
-	topo := b.topo
+// owns the communication round. patched reports that no candidate list was
+// sorted from scratch and the sizes came from a predecessor bundle.
+func (b *Bundle) assembleUnits(cl *cluster.Cluster, groups []*ruleGroup, opt Options, ship func(from, to int, bytes int64)) (units [][]workUnit, span time.Duration, patched bool, err error) {
 	type task struct {
 		group  int
 		ranges []stats.Range // one per component
 	}
 	var tasks []task
-	cands := make([][][]graph.NodeID, len(groups)) // group -> component -> sorted candidates
+	cands, patched := b.candidateLists(groups) // group -> component -> sorted candidates
 	for gi, grp := range groups {
 		k := grp.pivot.Arity()
-		cands[gi] = make([][]graph.NodeID, k)
 		ranges := make([][]stats.Range, k)
 		for i := 0; i < k; i++ {
-			sorted, rs := stats.EquiDepthByValue(b.g, grp.pivot.CandidatesIn(topo, i), "val", opt.HistogramM)
-			cands[gi][i] = sorted
-			ranges[i] = rs
+			ranges[i] = stats.EquiDepth(len(cands[gi][i]), opt.HistogramM)
 		}
 		// Cross-product of per-component ranges; for symmetric deduped
 		// patterns only ordered range pairs are kept (Example 10).
@@ -388,93 +483,152 @@ func (b *Bundle) assembleUnits(cl *cluster.Cluster, groups []*ruleGroup, opt Opt
 
 	// Phase A: resolve every needed c-hop block size, traversing only the
 	// pairs the bundle-level cache is missing.
-	sizeOf, sizeSpan, err := b.measureSizes(cl, groups, cands, opt.N)
+	sizes, sizeSpan, err := b.measureSizes(cl, groups, cands, opt.N)
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, false, err
 	}
+	sizeOf := func(v graph.NodeID, r int) int { return sizes.get(v, r).size }
 
 	// Phase B: workers assemble the unit descriptors for their range
-	// combinations from the resolved sizes.
-	perWorker := make([][]workUnit, opt.N)
+	// combinations from the resolved sizes, each into its own chunk with
+	// the candidate vectors cut from one backing array.
+	units = make([][]workUnit, opt.N)
 	busy, err := cl.RunMeasured(func(w int) {
-		var mine []workUnit
+		// One-component tasks emit a unit per candidate: size for them.
+		n := 0
+		for ti := w; ti < len(tasks); ti += opt.N {
+			if t := tasks[ti]; len(t.ranges) == 1 {
+				n += t.ranges[0].Len()
+			}
+		}
+		mine := make([]workUnit, 0, n)
+		vecs := make([]graph.NodeID, 0, n)
 		for ti := w; ti < len(tasks); ti += opt.N {
 			t := tasks[ti]
 			grp := groups[t.group]
+			if len(t.ranges) == 1 {
+				r := grp.pivot.Radii[0]
+				for _, v := range cands[t.group][0][t.ranges[0].Lo:t.ranges[0].Hi] {
+					vecs = append(vecs, v)
+					mine = append(mine, workUnit{Unit: workload.Unit{Pivot: grp.pivot, BlockSize: sizeOf(v, r)}, group: t.group})
+				}
+				continue
+			}
 			slice := make([][]graph.NodeID, len(t.ranges))
 			for i, r := range t.ranges {
 				slice[i] = cands[t.group][i][r.Lo:r.Hi]
 			}
-			symmetric := !opt.NoOptimize && grp.pivot.Symmetric()
 			// Within the diagonal range pair the ordered-pair rule applies;
-			// BuildUnitsSized handles it via DedupSymmetric. Off-diagonal
-			// pairs are disjoint, so the flag only prunes the diagonal.
-			dedup := symmetric && len(t.ranges) == 2 && t.ranges[0] == t.ranges[1]
-			us := workload.BuildUnitsSized(grp.pivot, slice, sizeOf, workload.BuildOptions{DedupSymmetric: dedup})
-			for _, u := range us {
-				mine = append(mine, workUnit{Unit: u, group: t.group})
-			}
+			// off-diagonal pairs are disjoint, so the flag only prunes the
+			// diagonal.
+			dedup := !opt.NoOptimize && len(t.ranges) == 2 && t.ranges[0] == t.ranges[1]
+			workload.EachUnit(grp.pivot, slice, sizeOf, dedup, func(vec []graph.NodeID, size int) bool {
+				vecs = append(vecs, vec...)
+				mine = append(mine, workUnit{Unit: workload.Unit{Pivot: grp.pivot, BlockSize: size}, group: t.group})
+				return true
+			})
 		}
-		perWorker[w] = mine
+		off := 0
+		for i := range mine {
+			k := mine[i].Pivot.Arity()
+			mine[i].Candidates = vecs[off : off+k : off+k]
+			off += k
+		}
+		units[w] = mine
 	})
 	if err != nil {
-		return nil, 0, err
+		return nil, 0, false, err
 	}
-	var units []workUnit
-	for w, mine := range perWorker {
-		units = append(units, mine...)
+	for w, mine := range units {
 		// Report ⟨v̄_z, |G_z̄|⟩ descriptors to the coordinator (one batched
 		// message per worker).
 		ship(w, cluster.Coordinator, int64(len(mine))*unitDescriptorBytes)
 	}
-	return units, sizeSpan + cluster.MaxSpan(busy), nil
+	return units, sizeSpan + cluster.MaxSpan(busy), patched, nil
+}
+
+// candidateLists returns, per group and pivot component, the candidates in
+// equi-depth order. Lists are kept per pivot label across the bundle's
+// variants and, patched, across graph versions; a label first seen here is
+// sorted from scratch. patched reports an inherited state and no scratch
+// sort.
+func (b *Bundle) candidateLists(groups []*ruleGroup) (cands [][][]graph.NodeID, patched bool) {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.syncEstimationLocked()
+	patched = b.est.inherited
+	cands = make([][][]graph.NodeID, len(groups))
+	for gi, grp := range groups {
+		cands[gi] = make([][]graph.NodeID, grp.pivot.Arity())
+		for i := range cands[gi] {
+			label := grp.pivot.Label(i)
+			l, ok := b.est.lists[label]
+			if !ok {
+				patched = false
+				l = stats.SortByValue(b.g, grp.pivot.CandidatesIn(b.topo, i), sortAttr)
+				lists := maps.Clone(b.est.lists)
+				if lists == nil {
+					lists = make(map[string][]graph.NodeID, 2)
+				}
+				lists[label] = l
+				b.est.lists = lists
+			}
+			cands[gi][i] = l
+		}
+	}
+	return cands, patched
 }
 
 // measureSizes resolves |G_z̄[z]| for every (candidate, radius) pair any
 // group needs: cached pairs are read back, missing ones are traversed in
-// parallel (each assigned to exactly one worker) and added to the
-// bundle-level cache with their traversal cost. The modeled span is
+// parallel (each assigned to exactly one worker) and published into the
+// bundle's table with their traversal cost. The modeled span is
 // reconstructed from the per-pair costs over the round-robin schedule, so
 // it is faithful to a from-scratch n-worker phase whether the pairs were
 // cached or traversed this round.
-func (b *Bundle) measureSizes(cl *cluster.Cluster, groups []*ruleGroup, cands [][][]graph.NodeID, n int) (func(graph.NodeID, int) int, time.Duration, error) {
-	seen := make(map[sizeReq]struct{})
-	var reqs []sizeReq
+func (b *Bundle) measureSizes(cl *cluster.Cluster, groups []*ruleGroup, cands [][][]graph.NodeID, n int) (sizeTable, time.Duration, error) {
+	b.mu.Lock()
+	resolved := b.est.sizes
+	b.mu.Unlock()
+	// One request per distinct (candidate, radius), in first-seen order.
+	total := 0
+	for _, cs := range cands {
+		for _, c := range cs {
+			total += len(c)
+		}
+	}
+	reqs := make([]sizeReq, 0, total)
+	var missing []sizeReq
+	seen := make(map[int][]bool)
 	for gi, grp := range groups {
 		for i := 0; i < grp.pivot.Arity(); i++ {
 			r := grp.pivot.Radii[i]
+			mark := seen[r]
+			if mark == nil {
+				mark = make([]bool, b.topo.NumNodes())
+				seen[r] = mark
+			}
 			for _, v := range cands[gi][i] {
-				k := sizeReq{v, r}
-				if _, dup := seen[k]; !dup {
-					seen[k] = struct{}{}
-					reqs = append(reqs, k)
+				if mark[v] {
+					continue
+				}
+				mark[v] = true
+				reqs = append(reqs, sizeReq{v, r})
+				if resolved.get(v, r).size == 0 {
+					missing = append(missing, sizeReq{v, r})
 				}
 			}
 		}
 	}
-	// The size cache is copy-on-write: readers take the current map as an
-	// immutable snapshot (lock-free reads during parallel unit assembly),
-	// writers publish a merged replacement under the lock. A superseded
-	// map stays valid for any still-running round holding it.
-	b.mu.Lock()
-	resolved := b.est.sizes
-	b.mu.Unlock()
-	var missing []sizeReq
-	for _, k := range reqs {
-		if _, ok := resolved[k]; !ok {
-			missing = append(missing, k)
-		}
-	}
 	if len(missing) > 0 {
 		topo := b.topo
-		partial := make([]map[sizeReq]sizeVal, n)
+		got := make([]sizeVal, len(missing))
 		_, err := cl.RunMeasured(func(w int) {
-			mine := make(map[sizeReq]sizeVal)
 			start := time.Now()
 			var weight int64
 			for i := w; i < len(missing); i += n {
 				sz := topo.NeighborhoodSize(missing[i].node, missing[i].radius)
-				mine[missing[i]] = sizeVal{size: sz}
+				got[i] = sizeVal{size: sz}
 				weight += int64(sz) + 1
 			}
 			// Attribute the worker's busy time to its traversals in
@@ -482,12 +636,10 @@ func (b *Bundle) measureSizes(cl *cluster.Cluster, groups []*ruleGroup, cands []
 			// per-traversal clock reads would tax the cold path the cache
 			// exists to keep cheap.
 			if total := time.Since(start); weight > 0 {
-				for k, v := range mine {
-					v.cost = time.Duration(int64(total) * (int64(v.size) + 1) / weight)
-					mine[k] = v
+				for i := w; i < len(missing); i += n {
+					got[i].cost = time.Duration(int64(total) * (int64(got[i].size) + 1) / weight)
 				}
 			}
-			partial[w] = mine
 		})
 		if err != nil {
 			// A measurement worker died; the completed traversals from the
@@ -495,85 +647,131 @@ func (b *Bundle) measureSizes(cl *cluster.Cluster, groups []*ruleGroup, cands []
 			// cannot finish. Do not pollute the cache with a partial merge.
 			return nil, 0, err
 		}
+		// Publish onto the current table: a concurrent round may have
+		// published its own measurements since this one read it.
 		b.mu.Lock()
-		merged := make(map[sizeReq]sizeVal, len(b.est.sizes)+len(missing))
-		for k, v := range b.est.sizes {
-			merged[k] = v
+		wr := newSizeWriter(b.est.sizes)
+		for i, k := range missing {
+			wr.set(k.node, k.radius, got[i])
 		}
-		for _, m := range partial {
-			for k, v := range m {
-				merged[k] = v
-			}
-		}
-		b.est.sizes = merged
+		b.est.sizes = wr.t
 		b.est.measured += len(missing)
 		b.mu.Unlock()
-		resolved = merged
+		resolved = wr.t
 	}
 	busy := make([]time.Duration, n)
 	for i, k := range reqs {
-		busy[i%n] += resolved[k].cost
+		busy[i%n] += resolved.get(k.node, k.radius).cost
 	}
-	sizeOf := func(v graph.NodeID, c int) int { return resolved[sizeReq{v, c}].size }
-	return sizeOf, cluster.MaxSpan(busy), nil
+	return resolved, cluster.MaxSpan(busy), nil
 }
 
-// inheritEstimationLocked carries the estimation cache across a bundle
+// inheritEstimationLocked hands the estimation state across a bundle
 // rebuild (the caller holds prev.mu; b is not yet shared). Counters always
-// carry — they are cumulative probes. The size cache carries only when the
-// topology deltas separating the two bundles are known from an overlay
-// touch log, pruned to drop every measurement a touched node could have
-// changed (within radius); assembled unit sets are always re-derived, so
-// new candidates and shifted equi-depth ranges are picked up, from cached
-// sizes wherever the blocks were not touched.
+// carry — they are cumulative probes. The sorted candidate lists and the
+// block sizes carry when the updates separating the two bundles are known
+// from overlay touch logs; the successor's first estimation pass patches
+// them (syncEstimationLocked). Anything else leaves b cold.
 func (b *Bundle) inheritEstimationLocked(prev *Bundle) {
 	b.est.builds = prev.est.builds
+	b.est.patched = prev.est.patched
 	b.est.reuses = prev.est.reuses
 	b.est.measured = prev.est.measured
-	if len(prev.est.sizes) == 0 {
+	touched, attrs, ok := b.deltaSince(prev)
+	if !ok {
 		return
 	}
-	var touched []graph.NodeID
+	d := prev.est.from
+	if d != nil {
+		// prev never estimated: chain its pending delta.
+		d = &estDelta{lists: d.lists, sizes: d.sizes, numNodes: d.numNodes,
+			touched: slices.Concat(d.touched, touched), attrs: slices.Concat(d.attrs, attrs)}
+	} else {
+		if len(prev.est.lists) == 0 {
+			return
+		}
+		d = &estDelta{lists: prev.est.lists, sizes: prev.est.sizes, numNodes: prev.topo.NumNodes(),
+			touched: touched, attrs: attrs}
+	}
+	// Past a quarter of the graph, re-placing the delta costs about what
+	// a cold plan does.
+	if len(d.touched)+len(d.attrs) > b.topo.NumNodes()/4+1 {
+		return
+	}
+	b.est.from = d
+}
+
+// deltaSince returns the topology and attribute touches separating prev's
+// view from b's, when overlay logs record all of them.
+func (b *Bundle) deltaSince(prev *Bundle) (touched, attrs []graph.NodeID, ok bool) {
 	switch pt := prev.topo.(type) {
 	case *graph.Overlay:
 		// Normal warm path: the session's overlay absorbed the deltas (and
 		// may have been superseded by a compacted view of the same graph).
 		if !pt.Synced() || pt.Graph() != b.g {
-			return
+			return nil, nil, false
 		}
-		touched = pt.TouchedSince(prev.touchMark)
+		return pt.TouchedSince(prev.touchMark), pt.AttrTouchedSince(prev.attrMark), true
 	case *graph.Snapshot:
 		// First Apply after a cold prepare: the new overlay patches the
-		// very snapshot prev ran on, so its whole touch log is the delta.
+		// very snapshot prev ran on, so its whole logs are the delta.
 		ov, ok := b.topo.(*graph.Overlay)
 		if !ok || ov.Base() != pt || ov.Graph() != b.g {
-			return
+			return nil, nil, false
 		}
-		touched = ov.TouchedSince(0)
-	default:
+		return ov.TouchedSince(0), ov.AttrTouchedSince(0), true
+	}
+	return nil, nil, false
+}
+
+// syncEstimationLocked brings an inherited estimation state up to b's
+// version (the caller holds b.mu): every (v, r) size within r hops of a
+// topology-touched node is dropped, and each sorted candidate list
+// re-places its attribute-touched members and takes in the new nodes of
+// its class.
+func (b *Bundle) syncEstimationLocked() {
+	d := b.est.from
+	if d == nil {
 		return
 	}
-	if len(touched) == 0 {
-		// Attribute-only deltas: every measurement survives. The map is
-		// copy-on-write, so sharing it is safe.
-		b.est.sizes = prev.est.sizes
-		return
-	}
-	maxR := 0
-	for k := range prev.est.sizes {
-		if k.radius > maxR {
-			maxR = k.radius
+	b.est.from = nil
+	b.est.inherited = true
+
+	sizes := d.sizes
+	if len(d.touched) > 0 && len(sizes) > 0 {
+		wr := newSizeWriter(sizes)
+		for v, dist := range distWithin(b.topo, d.touched, len(sizes)-1) {
+			for r := dist; r < len(sizes); r++ {
+				if sizes.get(v, r).size != 0 {
+					wr.set(v, r, sizeVal{})
+				}
+			}
 		}
-	}
-	stale := distWithin(b.topo, touched, maxR)
-	sizes := make(map[sizeReq]sizeVal, len(prev.est.sizes))
-	for k, v := range prev.est.sizes {
-		if d, ok := stale[k.node]; ok && d <= k.radius {
-			continue
-		}
-		sizes[k] = v
+		sizes = wr.t
 	}
 	b.est.sizes = sizes
+
+	syms := b.topo.Syms()
+	n := b.topo.NumNodes()
+	lists := make(map[string][]graph.NodeID, len(d.lists))
+	var moved []graph.NodeID
+	for label, l := range d.lists {
+		sym := syms.Lookup(label)
+		in := func(v graph.NodeID) bool { return label == pattern.Wildcard || b.topo.Label(v) == sym }
+		moved = moved[:0]
+		for _, v := range d.attrs {
+			if int(v) < d.numNodes && in(v) {
+				moved = append(moved, v)
+			}
+		}
+		for v := graph.NodeID(d.numNodes); int(v) < n; v++ {
+			if in(v) {
+				moved = append(moved, v)
+			}
+		}
+		lists[label] = stats.ResortByValue(b.g, l, moved, sortAttr)
+	}
+	b.est.lists = lists
 }
 
 // distWithin runs a multi-source undirected BFS from the touched nodes up

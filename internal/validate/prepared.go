@@ -112,12 +112,14 @@ type Bundle struct {
 	progs map[*core.GFD]*core.LiteralProgram
 
 	// est is the cached workload-estimation state (see estimate.go): unit
-	// sets per option variant, block-size measurements shared across
-	// variants, probe counters. touchMark is the overlay touch-log
-	// position this bundle's view begins at, so a successor bundle can
-	// invalidate exactly the measurements its Apply deltas touched.
+	// sets per option variant, sorted candidate lists and block-size
+	// measurements shared across variants, probe counters. touchMark and
+	// attrMark are the overlay touch-log positions this bundle's view
+	// begins at, so a successor bundle can patch exactly what its Apply
+	// deltas touched.
 	est       estState
 	touchMark int
+	attrMark  int
 }
 
 // groupKey identifies one cached grouping variant.
@@ -159,6 +161,7 @@ func NewBundleOver(g *graph.Graph, topo graph.Topology, set *core.Set, prev *Bun
 	}
 	if ov, ok := topo.(*graph.Overlay); ok {
 		b.touchMark = ov.TouchLen()
+		b.attrMark = ov.AttrTouchLen()
 	}
 	syms := topo.Syms()
 	sameTable := prev != nil && prev.set == set && prev.topo.Syms() == syms

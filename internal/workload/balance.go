@@ -1,8 +1,10 @@
 package workload
 
 import (
+	"cmp"
+	"math"
 	"math/rand"
-	"sort"
+	"slices"
 )
 
 // Assignment maps each worker index to the indices of the units assigned
@@ -31,17 +33,56 @@ func (a Assignment) Makespan(weights []int) int64 {
 // This is the 2-approximation of Proposition 12 (4/3-approximate in fact,
 // via Graham's bound); it runs in O(|W| log |W| + |W| log n).
 func BalanceLPT(weights []int, n int) Assignment {
+	return assignGreedy(lptOrder(weights), weights, n, nil, 0)
+}
+
+// lptOrder returns the unit indices by descending weight, ties by
+// ascending index: a stable LSD radix sort on the weight's distance below
+// the maximum, one pass per byte of the weight spread — linear in the unit
+// count. Each entry packs the distance above the index, so a pass reads one
+// array sequentially.
+func lptOrder(weights []int) []int {
 	order := make([]int, len(weights))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if weights[order[a]] != weights[order[b]] {
-			return weights[order[a]] > weights[order[b]]
+	if len(weights) < 2 {
+		for i := range order {
+			order[i] = i
 		}
-		return order[a] < order[b]
-	})
-	return assignGreedy(order, weights, n, nil, 0)
+		return order
+	}
+	hi, lo := slices.Max(weights), slices.Min(weights)
+	spread := uint64(hi) - uint64(lo)
+	if spread > math.MaxUint32 || len(weights) > math.MaxUint32 {
+		// Too wide to pack: sort the indices by the pairs themselves.
+		for i := range order {
+			order[i] = i
+		}
+		slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(weights[b], weights[a]) })
+		return order
+	}
+	keys := make([]uint64, len(weights))
+	for i, w := range weights {
+		keys[i] = (uint64(hi)-uint64(w))<<32 | uint64(i)
+	}
+	tmp := make([]uint64, len(keys))
+	for shift := uint(32); shift < 64 && spread>>(shift-32) != 0; shift += 8 {
+		var count [257]int
+		for _, k := range keys {
+			count[k>>shift&0xff+1]++
+		}
+		for d := 1; d < len(count); d++ {
+			count[d] += count[d-1]
+		}
+		for _, k := range keys {
+			d := k >> shift & 0xff
+			tmp[count[d]] = k
+			count[d]++
+		}
+		keys, tmp = tmp, keys
+	}
+	for i, k := range keys {
+		order[i] = int(uint32(k))
+	}
+	return order
 }
 
 // BalanceRandom assigns units to workers uniformly at random; the repran /
@@ -68,21 +109,15 @@ type CommCoster func(unit, worker int) int64
 // as adapted by the paper, the greedy rule places the heaviest unit on the
 // worker minimizing load + commWeight·CC(w, i).
 func BalanceBiCriteria(weights []int, n int, cc CommCoster, commWeight float64) Assignment {
-	order := make([]int, len(weights))
-	for i := range order {
-		order[i] = i
-	}
-	sort.Slice(order, func(a, b int) bool {
-		if weights[order[a]] != weights[order[b]] {
-			return weights[order[a]] > weights[order[b]]
-		}
-		return order[a] < order[b]
-	})
-	return assignGreedy(order, weights, n, cc, commWeight)
+	return assignGreedy(lptOrder(weights), weights, n, cc, commWeight)
 }
 
+// assignGreedy places the units in the given order, each on the worker
+// minimizing its load plus the weighted comm cost. Placement runs first;
+// the per-worker lists are then cut from one backing array.
 func assignGreedy(order, weights []int, n int, cc CommCoster, commWeight float64) Assignment {
-	out := make(Assignment, n)
+	owner := make([]int32, len(weights))
+	counts := make([]int, n)
 	loads := make([]float64, n)
 	for _, u := range order {
 		best, bestCost := 0, 0.0
@@ -95,11 +130,24 @@ func assignGreedy(order, weights []int, n int, cc CommCoster, commWeight float64
 				best, bestCost = w, cost
 			}
 		}
-		out[best] = append(out[best], u)
+		owner[u] = int32(best)
+		counts[best]++
 		loads[best] += float64(weights[u])
 		if cc != nil {
 			loads[best] += commWeight * float64(cc(u, best))
 		}
+	}
+	out := make(Assignment, n)
+	backing := make([]int, len(order))
+	off := 0
+	for w, c := range counts {
+		if c > 0 {
+			out[w] = backing[off : off : off+c]
+			off += c
+		}
+	}
+	for _, u := range order {
+		out[owner[u]] = append(out[owner[u]], u)
 	}
 	return out
 }

@@ -101,11 +101,15 @@ func subPattern(q *pattern.Pattern, keep []int) *pattern.Pattern {
 	return sub
 }
 
+// Label returns the pattern label of pivot component i's variable — what
+// its candidate class is keyed by (Wildcard for every node).
+func (p *Pivot) Label(i int) string { return p.Q.Nodes[p.Vars[i]].Label }
+
 // Candidates returns, for pivot component i, the candidate graph nodes of
 // the pivot variable: nodes sharing the pivot node's label (all nodes for
 // a wildcard pivot).
 func (p *Pivot) Candidates(g *graph.Graph, i int) []graph.NodeID {
-	label := p.Q.Nodes[p.Vars[i]].Label
+	label := p.Label(i)
 	if label != pattern.Wildcard {
 		return g.NodesWithLabel(label)
 	}
@@ -119,7 +123,7 @@ func (p *Pivot) Candidates(g *graph.Graph, i int) []graph.NodeID {
 // CandidatesIn is Candidates over a compiled topology (frozen snapshot or
 // overlay): the label-class range replaces the mutable graph's map lookup.
 func (p *Pivot) CandidatesIn(t graph.Topology, i int) []graph.NodeID {
-	label := p.Q.Nodes[p.Vars[i]].Label
+	label := p.Label(i)
 	if label != pattern.Wildcard {
 		return t.NodesWith(t.Syms().Lookup(label))
 	}

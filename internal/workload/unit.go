@@ -89,32 +89,37 @@ func BuildUnitsFrom(g *graph.Graph, pivot *Pivot, cands [][]graph.NodeID, cache 
 
 // BuildUnitsSized is the allocation core of unit generation: block-part
 // sizes come from the supplied lookup (typically precomputed in a separate
-// parallel phase so each neighborhood is measured exactly once).
+// parallel phase so each neighborhood is measured exactly once). The
+// units' candidate vectors are cut from one backing array.
 func BuildUnitsSized(pivot *Pivot, cands [][]graph.NodeID, sizeOf func(graph.NodeID, int) int, opts BuildOptions) []Unit {
-	k := pivot.Arity()
-	sizes := make([]map[graph.NodeID]int, k)
-	for i := 0; i < k; i++ {
-		sizes[i] = make(map[graph.NodeID]int, len(cands[i]))
-		for _, v := range cands[i] {
-			sizes[i][v] = sizeOf(v, pivot.Radii[i])
-		}
-	}
 	var units []Unit
-	emit := func(vec []graph.NodeID) bool {
+	var back []graph.NodeID
+	EachUnit(pivot, cands, sizeOf, opts.DedupSymmetric, func(vec []graph.NodeID, size int) bool {
+		back = append(back, vec...)
+		units = append(units, Unit{Pivot: pivot, BlockSize: size})
+		return opts.MaxUnitsPerRule == 0 || len(units) < opts.MaxUnitsPerRule
+	})
+	k := pivot.Arity()
+	for i := range units {
+		units[i].Candidates = back[i*k : (i+1)*k : (i+1)*k]
+	}
+	return units
+}
+
+// EachUnit enumerates, in BuildUnitsSized's order, the candidate vectors
+// of the units over cands together with their block sizes |G_z̄|, without
+// materializing units. The vector passed to fn is reused across calls;
+// enumeration stops when fn returns false. dedupSymmetric drops mirrored
+// pairs of a symmetric pivot (BuildOptions.DedupSymmetric).
+func EachUnit(pivot *Pivot, cands [][]graph.NodeID, sizeOf func(graph.NodeID, int) int, dedupSymmetric bool, fn func(vec []graph.NodeID, size int) bool) {
+	vec := make([]graph.NodeID, pivot.Arity())
+	crossProduct(cands, vec, 0, dedupSymmetric && pivot.Symmetric(), func(vec []graph.NodeID) bool {
 		total := 0
 		for i, v := range vec {
-			total += sizes[i][v]
+			total += sizeOf(v, pivot.Radii[i])
 		}
-		units = append(units, Unit{
-			Pivot:      pivot,
-			Candidates: append([]graph.NodeID(nil), vec...),
-			BlockSize:  total,
-		})
-		return opts.MaxUnitsPerRule == 0 || len(units) < opts.MaxUnitsPerRule
-	}
-	vec := make([]graph.NodeID, k)
-	crossProduct(cands, vec, 0, opts.DedupSymmetric && pivot.Symmetric(), emit)
-	return units
+		return fn(vec, total)
+	})
 }
 
 // crossProduct enumerates candidate vectors with pairwise-distinct entries
