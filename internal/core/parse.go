@@ -2,6 +2,7 @@ package core
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -25,6 +26,16 @@ import (
 // variable) or  x.A = "c" / x.A = c  (constant literal). `when` may be
 // omitted (X = ∅). Multiple `when`/`then` lines accumulate.
 
+// SyntaxError reports a malformed rule file: the line the problem was
+// found on and what it is. ParseRules returns every rejection of its input
+// as one; only a failing reader's own error comes back as is.
+type SyntaxError struct {
+	Line int
+	Msg  string
+}
+
+func (e *SyntaxError) Error() string { return fmt.Sprintf("rules: line %d: %s", e.Line, e.Msg) }
+
 // ParseRules reads a rule file and returns the rule set.
 func ParseRules(r io.Reader) (*Set, error) {
 	set := MustNewSet()
@@ -46,50 +57,53 @@ func ParseRules(r io.Reader) (*Set, error) {
 		switch {
 		case fields[0] == "gfd":
 			if cur != nil {
-				return nil, fmt.Errorf("rules: line %d: nested gfd block", lineno)
+				return nil, syntaxErr(lineno, "nested gfd block")
 			}
 			if len(fields) < 3 || fields[len(fields)-1] != "{" {
-				return nil, fmt.Errorf("rules: line %d: want `gfd <name> {`", lineno)
+				return nil, syntaxErr(lineno, "want `gfd <name> {`")
 			}
 			name = strings.Trim(fields[1], `"`)
 			cur = &ruleBuilder{q: pattern.New()}
 		case fields[0] == "}":
 			if cur == nil {
-				return nil, fmt.Errorf("rules: line %d: stray '}'", lineno)
+				return nil, syntaxErr(lineno, "stray '}'")
 			}
 			f, err := New(name, cur.q, cur.x, cur.y)
 			if err != nil {
-				return nil, fmt.Errorf("rules: line %d: %v", lineno, err)
+				return nil, syntaxErr(lineno, "%v", err)
 			}
 			if err := set.Add(f); err != nil {
-				return nil, fmt.Errorf("rules: line %d: %v", lineno, err)
+				return nil, syntaxErr(lineno, "%v", err)
 			}
 			cur = nil
 		case cur == nil:
-			return nil, fmt.Errorf("rules: line %d: %q outside gfd block", lineno, fields[0])
+			return nil, syntaxErr(lineno, "%q outside gfd block", fields[0])
 		case fields[0] == "node":
 			if len(fields) != 3 {
-				return nil, fmt.Errorf("rules: line %d: want `node <var> <label>`", lineno)
+				return nil, syntaxErr(lineno, "want `node <var> <label>`")
+			}
+			if _, dup := cur.q.VarIndex(pattern.Var(fields[1])); dup {
+				return nil, syntaxErr(lineno, "duplicate variable %q", fields[1])
 			}
 			cur.q.AddNode(pattern.Var(fields[1]), fields[2])
 		case fields[0] == "edge":
 			if len(fields) != 4 {
-				return nil, fmt.Errorf("rules: line %d: want `edge <from> <label> <to>`", lineno)
+				return nil, syntaxErr(lineno, "want `edge <from> <label> <to>`")
 			}
 			from, ok := cur.q.VarIndex(pattern.Var(fields[1]))
 			if !ok {
-				return nil, fmt.Errorf("rules: line %d: unknown variable %q", lineno, fields[1])
+				return nil, syntaxErr(lineno, "unknown variable %q", fields[1])
 			}
 			to, ok := cur.q.VarIndex(pattern.Var(fields[3]))
 			if !ok {
-				return nil, fmt.Errorf("rules: line %d: unknown variable %q", lineno, fields[3])
+				return nil, syntaxErr(lineno, "unknown variable %q", fields[3])
 			}
 			cur.q.AddEdge(from, to, fields[2])
 		case fields[0] == "when", fields[0] == "then":
 			rest := strings.TrimSpace(line[len(fields[0]):])
 			lits, err := parseLiterals(rest, cur.q)
 			if err != nil {
-				return nil, fmt.Errorf("rules: line %d: %v", lineno, err)
+				return nil, syntaxErr(lineno, "%v", err)
 			}
 			if fields[0] == "when" {
 				cur.x = append(cur.x, lits...)
@@ -97,16 +111,23 @@ func ParseRules(r io.Reader) (*Set, error) {
 				cur.y = append(cur.y, lits...)
 			}
 		default:
-			return nil, fmt.Errorf("rules: line %d: unknown directive %q", lineno, fields[0])
+			return nil, syntaxErr(lineno, "unknown directive %q", fields[0])
 		}
 	}
 	if err := sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, syntaxErr(lineno+1, "%v", err)
+		}
 		return nil, err
 	}
 	if cur != nil {
-		return nil, fmt.Errorf("rules: unterminated gfd block %q", name)
+		return nil, syntaxErr(lineno, "unterminated gfd block %q", name)
 	}
 	return set, nil
+}
+
+func syntaxErr(line int, format string, args ...any) error {
+	return &SyntaxError{Line: line, Msg: fmt.Sprintf(format, args...)}
 }
 
 type ruleBuilder struct {

@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bufio"
+	"errors"
 	"fmt"
 	"io"
 	"sort"
@@ -50,6 +51,20 @@ func Write(w io.Writer, g *Graph) error {
 	return bw.Flush()
 }
 
+// SyntaxError reports malformed graph text: the line the problem was found
+// on and what it is. Read returns every rejection of its input as one;
+// only a failing reader's own error comes back as is.
+type SyntaxError struct {
+	Line int
+	Msg  string
+}
+
+func (e *SyntaxError) Error() string { return fmt.Sprintf("graph: line %d: %s", e.Line, e.Msg) }
+
+func syntaxErr(line int, format string, args ...any) error {
+	return &SyntaxError{Line: line, Msg: fmt.Sprintf(format, args...)}
+}
+
 // Read parses the text format from r and returns the graph plus the mapping
 // from node names to IDs.
 func Read(r io.Reader) (*Graph, map[string]NodeID, error) {
@@ -65,14 +80,17 @@ func Read(r io.Reader) (*Graph, map[string]NodeID, error) {
 			continue
 		}
 		fields := splitQuoted(line)
+		if len(fields) == 0 {
+			return nil, nil, syntaxErr(lineno, "no directive in %q", line)
+		}
 		switch fields[0] {
 		case "node":
 			if len(fields) < 3 {
-				return nil, nil, fmt.Errorf("graph: line %d: node needs name and label", lineno)
+				return nil, nil, syntaxErr(lineno, "node needs name and label")
 			}
 			name, label := fields[1], fields[2]
 			if _, dup := names[name]; dup {
-				return nil, nil, fmt.Errorf("graph: line %d: duplicate node %q", lineno, name)
+				return nil, nil, syntaxErr(lineno, "duplicate node %q", name)
 			}
 			var attrs Attrs
 			if len(fields) > 3 {
@@ -80,7 +98,7 @@ func Read(r io.Reader) (*Graph, map[string]NodeID, error) {
 				for _, kv := range fields[3:] {
 					k, v, ok := strings.Cut(kv, "=")
 					if !ok {
-						return nil, nil, fmt.Errorf("graph: line %d: bad attribute %q", lineno, kv)
+						return nil, nil, syntaxErr(lineno, "bad attribute %q", kv)
 					}
 					attrs[k] = v
 				}
@@ -88,24 +106,27 @@ func Read(r io.Reader) (*Graph, map[string]NodeID, error) {
 			names[name] = g.AddNode(label, attrs)
 		case "edge":
 			if len(fields) != 4 {
-				return nil, nil, fmt.Errorf("graph: line %d: edge needs from, label, to", lineno)
+				return nil, nil, syntaxErr(lineno, "edge needs from, label, to")
 			}
 			from, ok := names[fields[1]]
 			if !ok {
-				return nil, nil, fmt.Errorf("graph: line %d: unknown node %q", lineno, fields[1])
+				return nil, nil, syntaxErr(lineno, "unknown node %q", fields[1])
 			}
 			to, ok := names[fields[3]]
 			if !ok {
-				return nil, nil, fmt.Errorf("graph: line %d: unknown node %q", lineno, fields[3])
+				return nil, nil, syntaxErr(lineno, "unknown node %q", fields[3])
 			}
 			if err := g.AddEdge(from, to, fields[2]); err != nil {
-				return nil, nil, fmt.Errorf("graph: line %d: %v", lineno, err)
+				return nil, nil, syntaxErr(lineno, "%v", err)
 			}
 		default:
-			return nil, nil, fmt.Errorf("graph: line %d: unknown directive %q", lineno, fields[0])
+			return nil, nil, syntaxErr(lineno, "unknown directive %q", fields[0])
 		}
 	}
 	if err := sc.Err(); err != nil {
+		if errors.Is(err, bufio.ErrTooLong) {
+			return nil, nil, syntaxErr(lineno+1, "%v", err)
+		}
 		return nil, nil, err
 	}
 	return g, names, nil

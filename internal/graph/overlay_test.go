@@ -290,3 +290,36 @@ func FuzzOverlayPatch(f *testing.F) {
 		assertOverlayMatchesFreeze(t, NewOverlay(g))
 	})
 }
+
+// TestOverlayAttrTouchLog pins the attribute log: every SetAttr appends
+// its node in update order (repeats kept), AddNode's own attributes and
+// edges are not logged there, and marks slice the log like TouchedSince.
+func TestOverlayAttrTouchLog(t *testing.T) {
+	g := New(0, 0)
+	a := g.AddNode("A", Attrs{"val": "1"})
+	b := g.AddNode("B", nil)
+	ov := NewOverlay(g)
+	if ov.AttrTouchLen() != 0 || ov.AttrTouchedSince(0) != nil {
+		t.Fatal("a fresh overlay has attribute touches")
+	}
+	ov.SetAttr(b, "val", "2")
+	mark := ov.AttrTouchLen()
+	c := ov.AddNode("A", Attrs{"val": "3"})
+	ov.MustAddEdge(a, c, "e")
+	ov.SetAttr(a, "val", "4")
+	ov.SetAttr(b, "p", "x")
+	ov.SetAttr(a, "val", "5")
+	want := []NodeID{b, a, b, a}
+	if got := ov.AttrTouchedSince(0); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("attribute log %v, want %v", got, want)
+	}
+	if got := ov.AttrTouchedSince(mark); fmt.Sprint(got) != fmt.Sprint(want[1:]) {
+		t.Fatalf("attribute log since mark %d: %v, want %v", mark, got, want[1:])
+	}
+	if ov.AttrTouchedSince(ov.AttrTouchLen()) != nil {
+		t.Fatal("nothing was written since the current mark")
+	}
+	if got := ov.TouchedSince(0); fmt.Sprint(got) != fmt.Sprint([]NodeID{c, a, c}) {
+		t.Fatalf("topology log %v: attribute writes leaked into it", got)
+	}
+}

@@ -178,3 +178,64 @@ func TestApplyInvalidatesOnlyTouchedBlocks(t *testing.T) {
 		t.Fatalf("overlay-backed warm Detect diverged from cold repVal after Apply")
 	}
 }
+
+// TestApplyRoundsPatchThePlan asserts which rounds re-plan cold: the
+// first prepare and the round after a direct graph mutation (the delta is
+// unknown) build cold exactly once; every Apply round, including the one
+// whose batch crosses the compaction threshold, patches its predecessor's
+// candidate lists and sizes. Each round still agrees with a cold repVal.
+func TestApplyRoundsPatchThePlan(t *testing.T) {
+	ctx := context.Background()
+	g, set := pairWorkload(40)
+	sess := mustOpen(t, g)
+	prep, err := sess.Prepare(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep := validate.Options{Engine: validate.EngineReplicated, N: 3}
+	round := func(what string, wantPatched bool) {
+		t.Helper()
+		before := prep.Bundle().EstimationStats()
+		got, err := prep.Detect(ctx, rep)
+		if err != nil {
+			t.Fatal(err)
+		}
+		st := prep.Bundle().EstimationStats()
+		patched := st.Patched - before.Patched
+		if st.Builds != before.Builds+1 || patched != map[bool]int{true: 1, false: 0}[wantPatched] {
+			t.Fatalf("%s: stats %+v after %+v, want one build, patched=%v", what, st, before, wantPatched)
+		}
+		if want := validate.RepVal(g, set, validate.Options{N: 3}); !got.Violations.Equal(want.Violations) {
+			t.Fatalf("%s: violations diverged from a cold repVal", what)
+		}
+	}
+	round("first prepare", false)
+
+	for i := 0; i < 3; i++ {
+		ids := sess.Apply(
+			incremental.AddNode{Label: "A", Attrs: graph.Attrs{"val": fmt.Sprint("a", i)}},
+			incremental.AddNode{Label: "B", Attrs: graph.Attrs{"val": fmt.Sprint("a", i)}},
+		)
+		sess.Apply(
+			incremental.AddEdge{From: ids[0], To: ids[1], Label: "e"},
+			incremental.SetAttr{Node: graph.NodeID(2 * i), Attr: "val", Value: "v0"}, // a tie
+		)
+		round(fmt.Sprintf("Apply round %d", i), true)
+	}
+
+	g.AddNode("A", graph.Attrs{"val": "direct"})
+	round("after a direct mutation", false)
+	sess.Apply(incremental.SetAttr{Node: 1, Attr: "val", Value: "again"})
+	round("first Apply after the direct mutation", true)
+
+	builds := g.SnapshotBuilds()
+	var batch []incremental.Update
+	for i := 0; i < 40; i++ { // past graph.CompactFraction of the 87-node, 43-edge base
+		batch = append(batch, incremental.SetAttr{Node: graph.NodeID(i), Attr: "val", Value: fmt.Sprint("c", i%3)})
+	}
+	sess.Apply(batch...)
+	if g.SnapshotBuilds() != builds+1 {
+		t.Fatalf("the batch did not compact: %d snapshot builds, want %d", g.SnapshotBuilds(), builds+1)
+	}
+	round("Apply round across a compaction", true)
+}

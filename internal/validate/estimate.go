@@ -690,12 +690,12 @@ func (b *Bundle) inheritEstimationLocked(prev *Bundle) {
 		if len(prev.est.lists) == 0 {
 			return
 		}
-		d = &estDelta{lists: prev.est.lists, sizes: prev.est.sizes, numNodes: prev.topo.NumNodes(),
+		d = &estDelta{lists: prev.est.lists, sizes: prev.est.sizes, numNodes: prev.numNodes,
 			touched: touched, attrs: attrs}
 	}
-	// Past a quarter of the graph, re-placing the delta costs about what
-	// a cold plan does.
-	if len(d.touched)+len(d.attrs) > b.topo.NumNodes()/4+1 {
+	// A delta as large as the graph costs what a cold plan does to
+	// re-place; it also bounds the chain of bundles that never estimated.
+	if len(d.touched)+len(d.attrs) > b.topo.NumNodes() {
 		return
 	}
 	b.est.from = d

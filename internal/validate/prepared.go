@@ -113,13 +113,15 @@ type Bundle struct {
 
 	// est is the cached workload-estimation state (see estimate.go): unit
 	// sets per option variant, sorted candidate lists and block-size
-	// measurements shared across variants, probe counters. touchMark and
-	// attrMark are the overlay touch-log positions this bundle's view
-	// begins at, so a successor bundle can patch exactly what its Apply
-	// deltas touched.
+	// measurements shared across variants, probe counters. touchMark,
+	// attrMark and numNodes record where this bundle's view begins — the
+	// overlay log positions and |V| — so a successor bundle can patch
+	// exactly what its Apply deltas touched. (The overlay itself moves on
+	// in place.)
 	est       estState
 	touchMark int
 	attrMark  int
+	numNodes  int
 }
 
 // groupKey identifies one cached grouping variant.
@@ -158,6 +160,9 @@ func NewBundleOver(g *graph.Graph, topo graph.Topology, set *core.Set, prev *Bun
 		set:    set,
 		groups: make(map[groupKey][]*ruleGroup, 2),
 		progs:  make(map[*core.GFD]*core.LiteralProgram, set.Len()),
+		// Read before the topology can move on: an overlay is mutated in
+		// place by later updates.
+		numNodes: topo.NumNodes(),
 	}
 	if ov, ok := topo.(*graph.Overlay); ok {
 		b.touchMark = ov.TouchLen()

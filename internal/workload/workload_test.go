@@ -1,6 +1,9 @@
 package workload
 
 import (
+	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -301,5 +304,29 @@ func TestBalanceBiCriteriaZeroCommEqualsLPT(t *testing.T) {
 	if a.Makespan(weights) != b.Makespan(weights) {
 		t.Errorf("zero-cost bi-criteria should match LPT makespan: %d vs %d",
 			a.Makespan(weights), b.Makespan(weights))
+	}
+}
+
+// TestLPTOrderMatchesComparator pins the radix LPT order to a comparator
+// sort — descending weight, ties by ascending index — over many ties,
+// single-byte and multi-byte spreads, negative weights, and a spread too
+// wide to pack.
+func TestLPTOrderMatchesComparator(t *testing.T) {
+	rng := rand.New(rand.NewSource(3))
+	spreads := []int{1, 3, 200, 70000, 1 << 40}
+	for trial := 0; trial < 300; trial++ {
+		weights := make([]int, rng.Intn(200))
+		spread := spreads[trial%len(spreads)]
+		for i := range weights {
+			weights[i] = rng.Intn(spread) - spread/3
+		}
+		want := make([]int, len(weights))
+		for i := range want {
+			want[i] = i
+		}
+		sort.SliceStable(want, func(a, b int) bool { return weights[want[a]] > weights[want[b]] })
+		if got := lptOrder(weights); !slices.Equal(got, want) {
+			t.Fatalf("trial %d: lptOrder %v, comparator %v (weights %v)", trial, got, want, weights)
+		}
 	}
 }
