@@ -506,14 +506,6 @@ func (b *Bundle) assembleUnits(cl *cluster.Cluster, groups []*ruleGroup, opt Opt
 		for ti := w; ti < len(tasks); ti += opt.N {
 			t := tasks[ti]
 			grp := groups[t.group]
-			if len(t.ranges) == 1 {
-				r := grp.pivot.Radii[0]
-				for _, v := range cands[t.group][0][t.ranges[0].Lo:t.ranges[0].Hi] {
-					vecs = append(vecs, v)
-					mine = append(mine, workUnit{Unit: workload.Unit{Pivot: grp.pivot, BlockSize: sizeOf(v, r)}, group: t.group})
-				}
-				continue
-			}
 			slice := make([][]graph.NodeID, len(t.ranges))
 			for i, r := range t.ranges {
 				slice[i] = cands[t.group][i][r.Lo:r.Hi]

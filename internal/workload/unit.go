@@ -113,6 +113,16 @@ func BuildUnitsSized(pivot *Pivot, cands [][]graph.NodeID, sizeOf func(graph.Nod
 // pairs of a symmetric pivot (BuildOptions.DedupSymmetric).
 func EachUnit(pivot *Pivot, cands [][]graph.NodeID, sizeOf func(graph.NodeID, int) int, dedupSymmetric bool, fn func(vec []graph.NodeID, size int) bool) {
 	vec := make([]graph.NodeID, pivot.Arity())
+	if len(cands) == 1 {
+		// One component: a unit per candidate, no cross product.
+		for _, v := range cands[0] {
+			vec[0] = v
+			if !fn(vec, sizeOf(v, pivot.Radii[0])) {
+				return
+			}
+		}
+		return
+	}
 	crossProduct(cands, vec, 0, dedupSymmetric && pivot.Symmetric(), func(vec []graph.NodeID) bool {
 		total := 0
 		for i, v := range vec {
