@@ -3,6 +3,7 @@ package session_test
 import (
 	"context"
 	"fmt"
+	"sync"
 	"testing"
 
 	"gfd/internal/core"
@@ -238,4 +239,58 @@ func TestApplyRoundsPatchThePlan(t *testing.T) {
 		t.Fatalf("the batch did not compact: %d snapshot builds, want %d", g.SnapshotBuilds(), builds+1)
 	}
 	round("Apply round across a compaction", true)
+}
+
+// TestConcurrentVariantsPatchOneBundle runs several option variants
+// concurrently on one Prepared after each Apply: their estimation passes
+// share the bundle's patched candidate lists and publish into its size
+// table at the same time (exercised under -race in CI). Every variant must
+// still report the sequential engine's violations.
+func TestConcurrentVariantsPatchOneBundle(t *testing.T) {
+	ctx := context.Background()
+	g, set := pairWorkload(30)
+	sess := mustOpen(t, g)
+	prep, err := sess.Prepare(set)
+	if err != nil {
+		t.Fatal(err)
+	}
+	variants := []validate.Options{
+		{Engine: validate.EngineReplicated, N: 2},
+		{Engine: validate.EngineReplicated, N: 3, HistogramM: 1},
+		{Engine: validate.EngineReplicated, N: 2, NoOptimize: true},
+		{Engine: validate.EngineFragmented, N: 2},
+	}
+	for round := 0; round < 6; round++ {
+		ids := sess.Apply(
+			incremental.AddNode{Label: "A", Attrs: graph.Attrs{"val": fmt.Sprint("r", round)}},
+			incremental.AddNode{Label: "B", Attrs: graph.Attrs{"val": "v0"}},
+		)
+		sess.Apply(
+			incremental.AddEdge{From: ids[0], To: ids[1], Label: "e"},
+			incremental.SetAttr{Node: graph.NodeID(2 * round), Attr: "val", Value: "v1"},
+		)
+		want, err := prep.Detect(ctx, validate.Options{Engine: validate.EngineSequential})
+		if err != nil {
+			t.Fatal(err)
+		}
+		var wg sync.WaitGroup
+		for _, opt := range variants {
+			wg.Add(1)
+			go func(opt validate.Options) {
+				defer wg.Done()
+				got, err := prep.Detect(ctx, opt)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if !got.Violations.Equal(want.Violations) {
+					t.Errorf("round %d %v: violations diverged from the sequential engine", round, opt.Engine)
+				}
+			}(opt)
+		}
+		wg.Wait()
+	}
+	if st := prep.Bundle().EstimationStats(); st.Patched == 0 {
+		t.Fatalf("no estimation pass patched: %+v", st)
+	}
 }

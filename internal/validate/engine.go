@@ -341,6 +341,9 @@ func splittable(grp *ruleGroup) bool {
 
 // splitThreshold resolves the effective θ given the generated units.
 func splitThreshold(opt Options, units [][]workUnit) int {
+	if opt.NoOptimize || opt.SplitThreshold < 0 {
+		return 0 // disabled
+	}
 	var n, total int64
 	for _, chunk := range units {
 		n += int64(len(chunk))
@@ -348,10 +351,10 @@ func splitThreshold(opt Options, units [][]workUnit) int {
 			total += int64(chunk[i].BlockSize)
 		}
 	}
-	if opt.NoOptimize || opt.SplitThreshold < 0 || n == 0 {
-		return 0 // disabled
-	}
-	if opt.SplitThreshold > 0 {
+	switch {
+	case n == 0:
+		return 0
+	case opt.SplitThreshold > 0:
 		return opt.SplitThreshold
 	}
 	return int(4 * total / n)
