@@ -494,7 +494,8 @@ func (b *Bundle) assembleUnits(cl *cluster.Cluster, groups []*ruleGroup, opt Opt
 	// the candidate vectors cut from one backing array.
 	units = make([][]workUnit, opt.N)
 	busy, err := cl.RunMeasured(func(w int) {
-		// One-component tasks emit a unit per candidate: size for them.
+		// One-component tasks emit exactly one unit per candidate: size the
+		// chunk for them up front.
 		n := 0
 		for ti := w; ti < len(tasks); ti += opt.N {
 			if t := tasks[ti]; len(t.ranges) == 1 {
